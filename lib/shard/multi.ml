@@ -167,16 +167,32 @@ let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency
           install_config_tap t ~group:g id)
         (Myraft.Cluster.member_ids c))
     t.clusters;
-  (* One liveness tap per physical node: any packet from the current
-     leader's process resets every co-located follower instance's
-     failover clock (the raft side re-checks role and leader identity). *)
+  (* Every departing packet claims the groups its sender leads at that
+     moment, as a packet header would. *)
+  Mux.set_leadership mux (fun id ->
+      let leads = ref [] in
+      Array.iteri
+        (fun g c ->
+          if not (Myraft.Cluster.is_crashed c id) then
+            match Myraft.Cluster.raft_of c id with
+            | Some r when Raft.Node.role r = Raft.Types.Leader -> leads := g :: !leads
+            | _ -> ())
+        t.clusters;
+      !leads);
+  (* One liveness tap per physical node: a packet from a process that
+     claimed to lead a group resets the failover clock of this node's
+     follower instance of that group (the raft side re-checks role and
+     leader identity).  The packet proves the process is up, not that
+     it still leads: a leader that crashed and restarted comes back a
+     follower, and counting its packets would keep its old followers
+     from ever electing a successor. *)
   List.iter
     (fun s ->
       let id = s.Myraft.Cluster.spec_id in
-      Mux.set_liveness_tap mux id (fun ~from ->
-          Array.iter
-            (fun c ->
-              if not (Myraft.Cluster.is_crashed c id) then
+      Mux.set_liveness_tap mux id (fun ~from ~leads ->
+          Array.iteri
+            (fun g c ->
+              if List.mem g leads && not (Myraft.Cluster.is_crashed c id) then
                 match Myraft.Cluster.raft_of c id with
                 | Some r -> Raft.Node.note_transport_liveness r ~from
                 | None -> ())

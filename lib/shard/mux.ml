@@ -8,7 +8,10 @@
    liveness for every group on the link — the receive path fires a
    per-node liveness tap before demultiplexing, and the send path
    answers "did anything recently go to dst?" so idle leaders can
-   suppress their own empty AEs (Raft.Node.hb_suppress_limit).
+   suppress their own empty AEs (Raft.Node.hb_suppress_limit).  A live
+   process is not a live leader, so the packet header also carries the
+   groups the sender led when the packet departed; the tap hands that
+   claim to the receiver.
 
    Framing: a packet pays a fixed header plus a small per-frame tag on
    top of the payload wire sizes, so coalescing is visible in net.bytes
@@ -16,7 +19,7 @@
 
 type frame = { fr_group : int; fr_payload : Myraft.Wire.t }
 
-type packet = frame list
+type packet = { leads : int list; frames : frame list }
 
 let packet_header_bytes = 16
 
@@ -34,8 +37,10 @@ type t = {
   coalesce : frame Sim.Coalesce.t;
   handlers : (int * string, src:string -> Myraft.Wire.t -> unit) Hashtbl.t;
   (* (group, node) -> handler; one physical node hosts every group *)
-  liveness_taps : (string, from:string -> unit) Hashtbl.t;
+  liveness_taps : (string, from:string -> leads:int list -> unit) Hashtbl.t;
   (* node -> tap, fired once per delivered packet before demux *)
+  mutable leads_of : string -> int list;
+  (* node -> groups it leads now; stamped into each departing packet *)
   last_push : (string * string, (int, float) Hashtbl.t) Hashtbl.t;
   (* (src, dst) -> group -> last engine time a frame was pushed; feeds
      the heartbeat-suppression carrier check *)
@@ -62,7 +67,7 @@ let create ~engine ~topology ?latency ~window () =
       let size = packet_size frames in
       t.bytes_sent <- t.bytes_sent + size;
       Stats.Histogram.record t.frames_per_packet (float_of_int (List.length frames));
-      Sim.Network.send t.network ~src ~dst ~size frames
+      Sim.Network.send t.network ~src ~dst ~size { leads = t.leads_of src; frames }
   in
   let t =
     {
@@ -72,6 +77,7 @@ let create ~engine ~topology ?latency ~window () =
       coalesce = Sim.Coalesce.create ~engine ~window ~flush ();
       handlers = Hashtbl.create 64;
       liveness_taps = Hashtbl.create 16;
+      leads_of = (fun _ -> []);
       last_push = Hashtbl.create 64;
       packets_sent = 0;
       frames_sent = 0;
@@ -90,20 +96,21 @@ let window t = Sim.Coalesce.window t.coalesce
 (* Register the physical node's demux handler once; groups then attach
    per-group handlers into the table.  The liveness tap fires once per
    packet — a frame from [src]'s process proves the process is alive,
-   which is all a follower's failover clock needs. *)
+   and the header says which groups it led when it sent; together that
+   is all a follower's failover clock needs. *)
 let ensure_demux t node =
-  Sim.Network.register t.network node (fun ~src frames ->
+  Sim.Network.register t.network node (fun ~src packet ->
       (match Hashtbl.find_opt t.liveness_taps node with
       | Some tap ->
         t.taps_fired <- t.taps_fired + 1;
-        tap ~from:src
+        tap ~from:src ~leads:packet.leads
       | None -> ());
       List.iter
         (fun fr ->
           match Hashtbl.find_opt t.handlers (fr.fr_group, node) with
           | Some handler -> handler ~src fr.fr_payload
           | None -> ())
-        frames)
+        packet.frames)
 
 let add_node t ~id ~region =
   if not (Sim.Topology.mem t.topology id) then begin
@@ -116,6 +123,8 @@ let register t ~group node handler =
   ensure_demux t node
 
 let set_liveness_tap t node tap = Hashtbl.replace t.liveness_taps node tap
+
+let set_leadership t leads_of = t.leads_of <- leads_of
 
 let note_push t ~group ~src ~dst =
   let key = (src, dst) in

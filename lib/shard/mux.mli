@@ -4,11 +4,14 @@
     physical link within one coalescing window.  Co-located groups thus
     share network messages, and one group's heartbeat carries liveness
     for all of them (the receive path fires a per-node liveness tap
-    before demultiplexing). *)
+    before demultiplexing, with the groups the sender led when the
+    packet departed). *)
 
 type frame = { fr_group : int; fr_payload : Myraft.Wire.t }
 
-type packet = frame list
+(** [leads] is the header's leadership claim: the groups the sending
+    node led when the packet departed. *)
+type packet = { leads : int list; frames : frame list }
 
 (** Fixed per-packet / per-frame framing overhead charged on top of the
     payload wire sizes, so coalescing shows up in net.bytes as
@@ -44,9 +47,15 @@ val add_node : t -> id:string -> region:string -> unit
 val register : t -> group:int -> string -> (src:string -> Myraft.Wire.t -> unit) -> unit
 
 (** Install [node]'s liveness tap: fired once per delivered packet with
-    the sending node, before demultiplexing — the hook that resets every
-    co-located follower's failover clock off one beat. *)
-val set_liveness_tap : t -> string -> (from:string -> unit) -> unit
+    the sending node and its header's leadership claim, before
+    demultiplexing — the hook that resets every co-located follower's
+    failover clock off one beat. *)
+val set_liveness_tap : t -> string -> (from:string -> leads:int list -> unit) -> unit
+
+(** Install the source of the leadership claim: [leads_of node] is the
+    groups [node] leads now, read when a packet departs.  Defaults to
+    none. *)
+val set_leadership : t -> (string -> int list) -> unit
 
 (** Queue one frame; departs with the (src, dst) pair's next flush. *)
 val send : t -> group:int -> src:string -> dst:string -> Myraft.Wire.t -> unit

@@ -369,103 +369,117 @@ let eq_arb =
    content, even when a node (hosting some shard's leader) crashes or is
    isolated mid-stream.  Retried writes are content-idempotent, so
    reject-and-retry during failover cannot skew the comparison. *)
+let sharded_equals_independent (seed, fault, raw_ops) =
+  let groups = 3 in
+  let members = Myraft.Cluster.small_members () in
+  let multi = Shard.Multi.create ~seed ~members ~groups () in
+  Shard.Multi.bootstrap multi;
+  (* distinct keys; the value encodes the op so content mismatches
+     are attributable *)
+  let ops =
+    List.mapi
+      (fun i (tbl, k) ->
+        ( Printf.sprintf "t%d" tbl,
+          Printf.sprintf "row-%d-%d" k i,
+          Printf.sprintf "v%d" i ))
+      raw_ops
+  in
+  let half = List.length ops / 2 in
+  let routed = ref [] in
+  List.iteri
+    (fun i (table, key, value) ->
+      if i = half then begin
+        match fault with
+        | No_fault -> ()
+        | Crash_follower -> Shard.Multi.crash_node multi "mysql2"
+        | Isolate_node -> Shard.Multi.isolate_node multi "mysql3"
+      end;
+      match multi_write multi ~table ~key ~value with
+      | Ok g -> routed := (g, (table, key, value)) :: !routed
+      | Error (g, e) ->
+        Alcotest.failf "sharded write %s/%s (shard %d): %s" table key g e)
+    ops;
+  (match fault with
+  | No_fault -> ()
+  | Crash_follower -> Shard.Multi.restart_node multi "mysql2"
+  | Isolate_node -> Shard.Multi.heal_node multi "mysql3");
+  if
+    not
+      (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+           List.for_all group_settled (Shard.Multi.clusters multi)))
+  then Alcotest.fail "sharded deployment did not settle after heal";
+  let routed = List.rev !routed in
+  (* reference: one fault-free standalone cluster per shard, fed that
+     shard's op subsequence in order *)
+  List.iteri
+    (fun g c ->
+      let my_ops = List.filter_map (fun (g', op) -> if g' = g then Some op else None) routed in
+      let reference =
+        Myraft.Cluster.create ~seed:(seed + 7919) ~replicaset:"ref" ~members ()
+      in
+      Myraft.Cluster.bootstrap reference ~leader_id:"mysql1";
+      List.iter
+        (fun (table, key, value) ->
+          Helpers.check_ok
+            (Printf.sprintf "reference write %s/%s" table key)
+            (Helpers.direct_write reference ~table ~key ~value))
+        my_ops;
+      ignore
+        (Myraft.Cluster.run_until reference ~timeout:(30.0 *. s) (fun () ->
+             group_settled reference));
+      let ref_sum =
+        match Myraft.Cluster.primary reference with
+        | Some srv -> Storage.Engine.checksum (Myraft.Server.storage srv)
+        | None -> Alcotest.fail "reference lost its primary"
+      in
+      (* every member of the shard converged to the reference content *)
+      List.iter
+        (fun srv ->
+          Alcotest.(check int32)
+            (Printf.sprintf "shard%d engine ≡ independent cluster (%s)" g
+               (Myraft.Server.id srv))
+            ref_sum
+            (Storage.Engine.checksum (Myraft.Server.storage srv)))
+        (Myraft.Cluster.servers c);
+      (* each acked write lives in its shard and nowhere else *)
+      List.iter
+        (fun (table, key, value) ->
+          List.iteri
+            (fun g' c' ->
+              match Myraft.Cluster.primary c' with
+              | None -> ()
+              | Some srv ->
+                let got =
+                  Storage.Engine.get (Myraft.Server.storage srv) ~table ~key
+                in
+                if g' = g then
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s/%s in shard%d" table key g)
+                    (Some value) got
+                else
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s/%s absent from shard%d" table key g')
+                    None got)
+            (Shard.Multi.clusters multi))
+        my_ops)
+    (Shard.Multi.clusters multi);
+  true
+
 let prop_sharded_equals_independent =
   QCheck.Test.make ~name:"M shards + mux ≡ M independent clusters" ~count:6 eq_arb
-    (fun (seed, fault, raw_ops) ->
-      let groups = 3 in
-      let members = Myraft.Cluster.small_members () in
-      let multi = Shard.Multi.create ~seed ~members ~groups () in
-      Shard.Multi.bootstrap multi;
-      (* distinct keys; the value encodes the op so content mismatches
-         are attributable *)
-      let ops =
-        List.mapi
-          (fun i (tbl, k) ->
-            ( Printf.sprintf "t%d" tbl,
-              Printf.sprintf "row-%d-%d" k i,
-              Printf.sprintf "v%d" i ))
-          raw_ops
-      in
-      let half = List.length ops / 2 in
-      let routed = ref [] in
-      List.iteri
-        (fun i (table, key, value) ->
-          if i = half then begin
-            match fault with
-            | No_fault -> ()
-            | Crash_follower -> Shard.Multi.crash_node multi "mysql2"
-            | Isolate_node -> Shard.Multi.isolate_node multi "mysql3"
-          end;
-          match multi_write multi ~table ~key ~value with
-          | Ok g -> routed := (g, (table, key, value)) :: !routed
-          | Error (g, e) ->
-            Alcotest.failf "sharded write %s/%s (shard %d): %s" table key g e)
-        ops;
-      (match fault with
-      | No_fault -> ()
-      | Crash_follower -> Shard.Multi.restart_node multi "mysql2"
-      | Isolate_node -> Shard.Multi.heal_node multi "mysql3");
-      if
-        not
-          (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
-               List.for_all group_settled (Shard.Multi.clusters multi)))
-      then Alcotest.fail "sharded deployment did not settle after heal";
-      let routed = List.rev !routed in
-      (* reference: one fault-free standalone cluster per shard, fed that
-         shard's op subsequence in order *)
-      List.iteri
-        (fun g c ->
-          let my_ops = List.filter_map (fun (g', op) -> if g' = g then Some op else None) routed in
-          let reference =
-            Myraft.Cluster.create ~seed:(seed + 7919) ~replicaset:"ref" ~members ()
-          in
-          Myraft.Cluster.bootstrap reference ~leader_id:"mysql1";
-          List.iter
-            (fun (table, key, value) ->
-              Helpers.check_ok
-                (Printf.sprintf "reference write %s/%s" table key)
-                (Helpers.direct_write reference ~table ~key ~value))
-            my_ops;
-          ignore
-            (Myraft.Cluster.run_until reference ~timeout:(30.0 *. s) (fun () ->
-                 group_settled reference));
-          let ref_sum =
-            match Myraft.Cluster.primary reference with
-            | Some srv -> Storage.Engine.checksum (Myraft.Server.storage srv)
-            | None -> Alcotest.fail "reference lost its primary"
-          in
-          (* every member of the shard converged to the reference content *)
-          List.iter
-            (fun srv ->
-              Alcotest.(check int32)
-                (Printf.sprintf "shard%d engine ≡ independent cluster (%s)" g
-                   (Myraft.Server.id srv))
-                ref_sum
-                (Storage.Engine.checksum (Myraft.Server.storage srv)))
-            (Myraft.Cluster.servers c);
-          (* each acked write lives in its shard and nowhere else *)
-          List.iter
-            (fun (table, key, value) ->
-              List.iteri
-                (fun g' c' ->
-                  match Myraft.Cluster.primary c' with
-                  | None -> ()
-                  | Some srv ->
-                    let got =
-                      Storage.Engine.get (Myraft.Server.storage srv) ~table ~key
-                    in
-                    if g' = g then
-                      Alcotest.(check (option string))
-                        (Printf.sprintf "%s/%s in shard%d" table key g)
-                        (Some value) got
-                    else
-                      Alcotest.(check (option string))
-                        (Printf.sprintf "%s/%s absent from shard%d" table key g')
-                        None got)
-                (Shard.Multi.clusters multi))
-            my_ops)
-        (Shard.Multi.clusters multi);
-      true)
+    sharded_equals_independent
+
+(* Pinned regression: mysql2 leads shard1 and crashes mid-stream; after
+   its restart it is a follower, but its packets (acks in the other
+   shards) used to reset shard1's followers' failover clocks as if it
+   still led, so shard1 never elected a successor and never settled. *)
+let test_restarted_leader_does_not_wedge_its_shard () =
+  let ops =
+    [ (1, 49); (0, 48); (0, 42); (0, 48); (0, 1); (1, 41); (1, 46); (1, 48); (1, 1);
+      (0, 5); (0, 3); (0, 16); (1, 28); (0, 17); (0, 7); (0, 26) ]
+  in
+  Alcotest.(check bool) "equivalent after restart" true
+    (sharded_equals_independent (174, Crash_follower, ops))
 
 (* Satellite of the logless-reconfig work: the router's cached leader
    for a group must be dropped the moment a config change removes the
@@ -556,5 +570,9 @@ let suites =
           test_multi_config_change_invalidates_router;
       ] );
     ( "shard.equivalence",
-      [ QCheck_alcotest.to_alcotest prop_sharded_equals_independent ] );
+      [
+        QCheck_alcotest.to_alcotest prop_sharded_equals_independent;
+        Alcotest.test_case "restarted leader does not wedge its shard" `Quick
+          test_restarted_leader_does_not_wedge_its_shard;
+      ] );
   ]
