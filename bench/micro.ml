@@ -1,6 +1,7 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
-   quorum evaluation, and histogram recording. *)
+   quorum evaluation, the leader's commit-index computation, the event
+   heap, and histogram recording. *)
 
 open Bechamel
 open Toolkit
@@ -78,6 +79,51 @@ let quorum_check =
          Raft.Quorum.data_quorum_satisfied Raft.Quorum.Single_region_dynamic cfg
            ~leader_region:"r1" ~acks))
 
+(* The leader's commit index over the §6.1 topology (six regions of one
+   MySQL server and two logtailers, plus two learners) in FlexiRaft's
+   production mode: one order statistic per ack. *)
+let commit_index =
+  let cfg =
+    {
+      Raft.Types.members =
+        List.map
+          (fun (s : Myraft.Cluster.member_spec) ->
+            {
+              Raft.Types.id = s.spec_id;
+              region = s.spec_region;
+              voter = s.spec_voter;
+              kind = s.spec_kind;
+            })
+          (Myraft.Cluster.paper_members ());
+    }
+  in
+  let matches = Hashtbl.create 32 in
+  List.iteri
+    (fun i m -> Hashtbl.replace matches m.Raft.Types.id (1_000 + (i * 7 mod 13)))
+    cfg.Raft.Types.members;
+  Test.make ~name:"commit_index (§6.1 config)"
+    (Staged.stage (fun () ->
+         Raft.Quorum.acked_index Raft.Quorum.Single_region_dynamic cfg ~leader_region:"r1"
+           ~self:"mysql1" ~self_durable:1_010 ~match_index:(Hashtbl.find_opt matches)))
+
+(* Steady-state event queue: 10k pending events, each run pops the
+   earliest and schedules a replacement a little later (the hold model
+   of a discrete-event kernel). *)
+let heap_push_pop =
+  let h = Sim.Heap.create () in
+  let seq = ref 0 in
+  let rng = Sim.Rng.of_int 10_000 in
+  for _ = 1 to 10_000 do
+    incr seq;
+    Sim.Heap.push h ~key:(Sim.Rng.float rng *. 1_000.0) ~seq:!seq !seq
+  done;
+  Test.make ~name:"heap_push_pop (10k pending)"
+    (Staged.stage (fun () ->
+         let key = Sim.Heap.min_key h in
+         let v = Sim.Heap.pop_min h in
+         incr seq;
+         Sim.Heap.push h ~key:(key +. Sim.Rng.float rng *. 1_000.0) ~seq:!seq v))
+
 let pipeline_group_drain =
   (* submit → flush group → consensus release → engine commit for 100
      txns; exercises the preallocated group accumulator end to end *)
@@ -98,7 +144,7 @@ let pipeline_group_drain =
              }
          done;
          Myraft.Pipeline.notify_commit_index p 100;
-         Sim.Engine.run_for engine 0.1;
+         Sim.Engine.run_for engine (1.0 *. Sim.Engine.s);
          assert (!done_count = 100);
          !done_count))
 
@@ -120,6 +166,8 @@ let run () =
       log_append;
       crc32;
       quorum_check;
+      commit_index;
+      heap_push_pop;
       pipeline_group_drain;
       histogram_record;
     ]

@@ -1,9 +1,10 @@
 (** CRC-32 (IEEE 802.3, reflected) — the checksum MySQL stamps on binlog
     events.  MyRaft generates it at OpId-assignment time (§3.4).
 
-    Runs on native ints (no per-byte boxing) and exposes a streaming API
-    so structured digests fold fields in directly instead of marshalling
-    them into a throwaway string first. *)
+    Runs on native ints (no per-byte boxing), folds whole 8-byte blocks
+    at a time (slicing-by-8), and exposes a streaming API so structured
+    digests fold fields in directly instead of marshalling them into a
+    throwaway string first. *)
 
 val string : string -> int32
 

@@ -49,6 +49,8 @@ type t = {
   mutable running : bool;
   mutable queue : Binlog.Entry.t Queue.t; (* relay-log order, not yet dispatched *)
   inflight : (int, inflight) Hashtbl.t; (* index -> dispatched, not yet done *)
+  mutable busy : int; (* [inflight] entries not yet Submitted: lanes held *)
+  mutable submitting : int; (* [inflight] entries in Submitting (0 or 1) *)
   done_set : (int, unit) Hashtbl.t; (* committed above the low-water-mark *)
   mutable applied_index : int; (* lwm of engine-committed indexes *)
   mutable next_expected : int; (* next log index to enqueue *)
@@ -82,6 +84,8 @@ let create ?metrics ~engine ~params ~process () =
     running = false;
     queue = Queue.create ();
     inflight = Hashtbl.create 64;
+    busy = 0;
+    submitting = 0;
     done_set = Hashtbl.create 64;
     applied_index = 0;
     next_expected = 1;
@@ -110,11 +114,41 @@ let workers t = max 1 t.params.Params.applier_workers
 
 (* Lanes are held from dispatch until on_submitted (a worker owns its
    transaction through execution, parking and prepare, like a real MTS
-   worker thread); submitted entries wait in the pipeline lane-free. *)
-let busy_workers t =
-  Hashtbl.fold
-    (fun _ fl acc -> match fl.state with Submitted -> acc | _ -> acc + 1)
-    t.inflight 0
+   worker thread); submitted entries wait in the pipeline lane-free.
+
+   [busy] and [submitting] count the [inflight] entries per state, so the
+   coordinator's per-step checks are O(1): every state change goes
+   through [set_state], every removal through [remove_inflight], and only
+   the bulk rewinds (truncation, restart) recount. *)
+let busy_workers t = t.busy
+
+let[@inline] counts = function
+  | Executing | Ready -> (1, 0)
+  | Submitting -> (1, 1)
+  | Submitted -> (0, 0)
+
+let set_state t fl state =
+  let busy_was, sub_was = counts fl.state and busy_now, sub_now = counts state in
+  t.busy <- t.busy + busy_now - busy_was;
+  t.submitting <- t.submitting + sub_now - sub_was;
+  fl.state <- state
+
+(* A removed entry is parked in [Submitted], which holds no lane: a
+   late [on_submitted] (the server may report the outcome first) then
+   changes no count. *)
+let remove_inflight t index fl =
+  set_state t fl Submitted;
+  Hashtbl.remove t.inflight index
+
+let recount t =
+  t.busy <- 0;
+  t.submitting <- 0;
+  Hashtbl.iter
+    (fun _ fl ->
+      let b, s = counts fl.state in
+      t.busy <- t.busy + b;
+      t.submitting <- t.submitting + s)
+    t.inflight
 
 let queue_length t = Queue.length t.queue
 
@@ -166,11 +200,10 @@ let record_done t index entry =
    retrying prepare head-of-line-blocks submission just like the serial
    applier did. *)
 let rec try_submit t =
-  if t.running && not (Hashtbl.fold (fun _ fl acc -> acc || fl.state = Submitting) t.inflight false)
-  then
+  if t.running && t.submitting = 0 then
     match Hashtbl.find_opt t.inflight t.next_to_submit with
     | Some fl when fl.state = Ready ->
-      fl.state <- Submitting;
+      set_state t fl Submitting;
       let index = Binlog.Entry.index fl.entry in
       let tok = fl.tok in
       let submitted = ref false in
@@ -179,7 +212,7 @@ let rec try_submit t =
         ~on_submitted:(fun () ->
           if (not !submitted) && tok.live then begin
             submitted := true;
-            fl.state <- Submitted;
+            set_state t fl Submitted;
             t.next_to_submit <- index + 1;
             update_gauges t;
             try_submit t;
@@ -187,7 +220,7 @@ let rec try_submit t =
           end)
         ~on_done:(fun ~ok ->
           if tok.live then begin
-            Hashtbl.remove t.inflight index;
+            remove_inflight t index fl;
             if ok then record_done t index fl.entry;
             pump t
           end)
@@ -221,6 +254,7 @@ and pump t =
           let tok = { live = true } in
           let fl = { entry; tok; state = Executing } in
           Hashtbl.replace t.inflight index fl;
+          t.busy <- t.busy + 1;
           let cost =
             match Binlog.Entry.payload entry with
             | Binlog.Entry.Transaction _ -> t.params.Params.apply_per_txn_us
@@ -229,7 +263,7 @@ and pump t =
           ignore
             (Sim.Engine.schedule t.engine ~delay:cost (fun () ->
                  if tok.live then begin
-                   fl.state <- Ready;
+                   set_state t fl Ready;
                    try_submit t
                  end))
         end
@@ -280,6 +314,7 @@ let handle_truncation t ~from_index =
   in
   Hashtbl.reset t.inflight;
   List.iter (fun (index, fl) -> Hashtbl.replace t.inflight index fl) keep;
+  recount t;
   let requeue =
     List.sort (fun a b -> compare (Binlog.Entry.index a) (Binlog.Entry.index b)) !salvaged
   in
@@ -301,6 +336,7 @@ let handle_truncation t ~from_index =
 let invalidate_all t =
   Hashtbl.iter (fun _ fl -> fl.tok.live <- false) t.inflight;
   Hashtbl.reset t.inflight;
+  recount t;
   Hashtbl.reset t.done_set
 
 (* Start (or restart) the applier with its cursor positioned from the

@@ -1029,37 +1029,21 @@ and replicate_all t ~allow_empty =
 
 and advance_commit t =
   if t.role = Types.Leader then begin
-    let cfg = config t in
-    let self_index = last_index t in
-    let self_durable = t.log.durable_index () in
-    let rec scan n best =
-      if n > self_index then best
-      else begin
-        let acks =
-          (* The leader's own ack counts only once its log has fsynced
-             the entry — symmetrical with followers reporting their
-             durable index. *)
-          (if self_durable >= n then [ t.id ] else [])
-          @ Hashtbl.fold
-              (fun pid p acc -> if p.match_index >= n then pid :: acc else acc)
-              t.peers []
-        in
-        let quorum =
-          Quorum.data_quorum_satisfied t.params.quorum_mode cfg ~leader_region:t.region
-            ~acks
-        in
-        if quorum then scan (n + 1) (Some n) else best
-      end
+    (* The leader's own ack counts only once its log has fsynced the
+       entry — symmetrical with followers reporting their durable
+       index. *)
+    let acked =
+      Quorum.acked_index t.params.quorum_mode (config t) ~leader_region:t.region
+        ~self:t.id ~self_durable:(t.log.durable_index ()) ~match_index:(fun id ->
+          match Hashtbl.find_opt t.peers id with
+          | Some p -> Some p.match_index
+          | None -> None)
     in
-    match scan (t.commit_index + 1) None with
-    | Some n when n > t.commit_index ->
+    let n = match acked with Some n -> min n (last_index t) | None -> 0 in
+    if n > t.commit_index then
       (* Raft safety: only commit entries from the current term directly. *)
-      let term_ok =
-        match t.log.term_at n with
-        | Some term -> term = t.durable.current_term
-        | None -> false
-      in
-      if term_ok then begin
+      match t.log.term_at n with
+      | Some term when term = t.durable.current_term ->
         let prev_commit = t.commit_index in
         t.commit_index <- n;
         note_commit t ~from_index:(prev_commit + 1) ~to_index:n;
@@ -1067,8 +1051,7 @@ and advance_commit t =
         (* Reads queued behind "no current-term commit yet" can start
            their confirmation round now. *)
         maybe_start_read_round t
-      end
-    | _ -> ()
+      | _ -> ()
   end
 
 (* ----- linearizable read path: ReadIndex rounds + leader lease ----- *)
@@ -1112,31 +1095,19 @@ and extend_lease t =
     t.role = Types.Leader && t.params.use_leader_lease && (not t.lease_blocked)
     && lease_duration t > 0.0
   then begin
-    (* Candidate thresholds are (local, global) stamp pairs of the same
-       send events; quorum selection runs entirely on the local stamps
-       (the only ones a real node has), the global partner just keeps
-       the oracle pointed at the same event. *)
-    let candidates =
-      (local_now t, Sim.Engine.now t.engine)
-      :: Hashtbl.fold
-           (fun _ p acc ->
-             if p.acked_send_time > neg_infinity then
-               (p.acked_send_time, p.acked_send_global) :: acc
-             else acc)
-           t.peers []
-    in
-    let cfg = config t in
-    let quorum_at (threshold, _) =
-      let acks =
-        t.id
-        :: Hashtbl.fold
-             (fun pid p acc -> if p.acked_send_time >= threshold then pid :: acc else acc)
-             t.peers []
-      in
-      Quorum.data_quorum_satisfied t.params.quorum_mode cfg ~leader_region:t.region ~acks
-    in
-    let sorted = List.sort_uniq (fun a b -> compare b a) candidates in
-    match List.find_opt quorum_at sorted with
+    (* Quorum selection runs entirely on the local stamps (the only
+       ones a real node has); the global partner of the same send event
+       just keeps the oracle pointed at it. *)
+    match
+      Quorum.lease_threshold t.params.quorum_mode (config t) ~leader_region:t.region
+        ~self:t.id ~now:(local_now t) ~now_global:(Sim.Engine.now t.engine)
+        ~stamp:(fun id ->
+          match Hashtbl.find_opt t.peers id with
+          | Some p -> p.acked_send_time
+          | None -> neg_infinity)
+        ~iter_stamps:(fun f ->
+          Hashtbl.iter (fun _ p -> f p.acked_send_time p.acked_send_global) t.peers)
+    with
     | Some (threshold, threshold_global) ->
       let until = threshold +. lease_duration t in
       if until > t.lease_until then begin
@@ -1933,8 +1904,9 @@ and handle_append_response t (r : Message.append_response) =
         peer.offset_sample <- Some (r.follower_time, now)
       end;
       if r.success then begin
+        let answered = List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight in
         (* RTT sample when the answered send is still in the window. *)
-        (match List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight with
+        (match answered with
         | Some f ->
           let rtt = now -. f.if_sent_at in
           if peer.srtt <= 0.0 then peer.srtt <- rtt
@@ -1948,9 +1920,7 @@ and handle_append_response t (r : Message.append_response) =
            global stamps of the same send event travel in lockstep: the
            local one feeds the lease, the global twin feeds the
            stale-by-global-time oracle. *)
-        (match
-           List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight
-         with
+        (match answered with
         | Some f ->
           if f.if_sent_at > peer.acked_send_time then begin
             peer.acked_send_time <- f.if_sent_at;

@@ -56,6 +56,101 @@ let data_quorum_satisfied mode config ~leader_region ~acks =
   | Single_region_dynamic -> region_majority config ~region:leader_region acks
   | Region_majorities -> majority_of_region_majorities config acks
 
+(* The [k]-th largest of [values] (sorting them), or [neg_infinity] when
+   there are fewer than [k]. *)
+let kth_largest values k =
+  if k > Array.length values then neg_infinity
+  else begin
+    Array.sort (fun a b -> Float.compare b a) values;
+    values.(k - 1)
+  end
+
+(* The in-group majority-th largest ack over the voters [in_group]
+   selects, read in one pass over the members without building lists. *)
+let group_value config ~in_group ~ack =
+  let voter m = m.Types.voter && in_group m in
+  let members = config.Types.members in
+  let n = List.fold_left (fun n m -> if voter m then n + 1 else n) 0 members in
+  let values = Array.make n 0.0 in
+  ignore
+    (List.fold_left
+       (fun i m ->
+         if voter m then begin
+           values.(i) <- ack m;
+           i + 1
+         end
+         else i)
+       0 members);
+  kth_largest values (majority_of n)
+
+(* Order-statistic form of [data_quorum_satisfied] for acks that are
+   monotone in a threshold: voter [m] acknowledges every threshold up to
+   [ack m] (a match index, an acknowledged send time).  Returns the
+   largest [x] such that the voters with [ack m >= x] satisfy the data
+   quorum, or [neg_infinity] when no threshold is satisfiable.  A quorum
+   of [k] voters out of a group reaches exactly the group's k-th largest
+   value, so:
+   - [Majority]: the majority-th largest over all voters;
+   - [Single_region_dynamic]: the majority-th largest over the leader's
+     region;
+   - [Region_majorities]: each region's in-region majority-th largest,
+     then the majority-th largest of those.
+   O(voters log voters) per call. *)
+let data_quorum_value mode config ~leader_region ~ack =
+  match mode with
+  | Majority -> group_value config ~in_group:(fun _ -> true) ~ack
+  | Single_region_dynamic ->
+    group_value config ~in_group:(fun m -> m.Types.region = leader_region) ~ack
+  | Region_majorities ->
+    let regions = Array.of_list (Types.regions_with_voters config) in
+    let values =
+      Array.map
+        (fun r -> group_value config ~in_group:(fun m -> m.Types.region = r) ~ack)
+        regions
+    in
+    kth_largest values (majority_of (Array.length values))
+
+(* The leader's commit point: the highest index a data quorum holds,
+   the leader's own ack being its durable (fsynced) index and a peer's
+   its confirmed match index.  [None] when no quorum holds anything. *)
+let acked_index mode config ~leader_region ~self ~self_durable ~match_index =
+  let v =
+    data_quorum_value mode config ~leader_region ~ack:(fun m ->
+        if m.Types.id = self then float_of_int self_durable
+        else
+          match match_index m.Types.id with
+          | Some i -> float_of_int i
+          | None -> neg_infinity)
+  in
+  if v = neg_infinity then None else Some (int_of_float v)
+
+(* The leader-lease threshold: the latest send time T such that the
+   leader and every peer that acknowledged a send stamped at or after T
+   form a data quorum.  Stamps are (local, global) pairs of one send
+   event; candidates are [now] and every peer's acknowledged stamp, and
+   quorum selection reads the local halves only.  The leader counts at
+   every candidate, so its own ack is the newest candidate and the
+   threshold is the quorum's order statistic — itself a candidate.
+   Among candidates sharing its local stamp, the latest global stamp
+   wins.  [stamp id] is a peer's local stamp ([neg_infinity] when it has
+   acknowledged nothing); [iter_stamps f] calls [f local global] for
+   every peer. *)
+let lease_threshold mode config ~leader_region ~self ~now ~now_global ~stamp ~iter_stamps
+    =
+  let newest = ref now in
+  iter_stamps (fun local _ -> newest := Float.max !newest local);
+  let newest = !newest in
+  let threshold =
+    data_quorum_value mode config ~leader_region ~ack:(fun m ->
+        if m.Types.id = self then newest else stamp m.Types.id)
+  in
+  if threshold = neg_infinity then None
+  else begin
+    let global = ref (if now = threshold then now_global else neg_infinity) in
+    iter_stamps (fun local g -> if local = threshold then global := Float.max !global g);
+    Some (threshold, !global)
+  end
+
 (* The regions in which a candidate must obtain an in-region majority for
    its election to intersect all possible past data quorums.  [None]
    means the rule is not region-based (plain majority).

@@ -31,6 +31,46 @@ val majority_of_region_majorities : Types.config -> Types.node_id list -> bool
 val data_quorum_satisfied :
   mode -> Types.config -> leader_region:string -> acks:Types.node_id list -> bool
 
+(** {2 Order statistics}
+
+    A data quorum of k voters acknowledges exactly the group's k-th
+    largest ack, so for acks that are monotone in a threshold (a match
+    index, an acknowledged send time) the largest threshold a data quorum
+    reaches is read off the sorted voter acks — per region, then across
+    regions, in [Region_majorities] mode — instead of one
+    {!data_quorum_satisfied} check per candidate threshold. *)
+
+(** The leader's commit point: the highest index a data quorum holds,
+    counting the leader ([self]) at [self_durable] and each peer at its
+    [match_index] ([None]: no ack).  [None] when no quorum holds any
+    index. *)
+val acked_index :
+  mode ->
+  Types.config ->
+  leader_region:string ->
+  self:Types.node_id ->
+  self_durable:int ->
+  match_index:(Types.node_id -> int option) ->
+  int option
+
+(** The leader-lease threshold over (local, global) send stamps: the
+    latest local stamp [T] among [now] and the peers' acknowledged
+    stamps such that the leader plus every peer with a stamp at or
+    after [T] form a data quorum, paired with the latest global stamp
+    among the candidates at [T].  [stamp id] is a peer's local stamp
+    ([neg_infinity] if none); [iter_stamps f] applies [f local global]
+    to every peer's stamp. *)
+val lease_threshold :
+  mode ->
+  Types.config ->
+  leader_region:string ->
+  self:Types.node_id ->
+  now:float ->
+  now_global:float ->
+  stamp:(Types.node_id -> float) ->
+  iter_stamps:((float -> float -> unit) -> unit) ->
+  (float * float) option
+
 (** The regions in which a candidate must win an in-region majority;
     [None] means the rule is not region-based.
 

@@ -1,13 +1,22 @@
-(* Array-backed binary min-heap keyed by (time, sequence).
+(* Array-backed 4-ary min-heap keyed by (time, sequence).
 
    The sequence number breaks ties so that events scheduled at the same
    virtual instant fire in scheduling order, which keeps runs
-   deterministic.
+   deterministic.  Because (key, seq) is a total order the pop sequence
+   does not depend on the heap's shape, only on what was pushed.
 
    Stored as a structure of arrays: keys live in a flat [float array]
    (unboxed), so steady-state push/pop allocates nothing beyond the
    occasional capacity doubling.  This heap sits under every simulated
-   event, so it is the hottest allocation site in the whole harness. *)
+   event, so it is the hottest structure in the whole harness:
+   - four children per node halve the depth of a binary heap, and the
+     children of [i] are the adjacent slots [4i+1 .. 4i+4];
+   - sifting moves a hole instead of swapping, so each level costs one
+     write per array rather than three;
+   - every index the loops touch is below [size] by construction, so the
+     reads are unchecked;
+   - the comparisons are written out inline rather than through a helper:
+     a helper taking a float key boxes it on every call unless inlined. *)
 
 type 'a t = {
   mutable keys : float array;
@@ -22,40 +31,6 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let less t i j =
-  let ki = t.keys.(i) and kj = t.keys.(j) in
-  ki < kj || (ki = kj && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let v = t.values.(i) in
-  t.values.(i) <- t.values.(j);
-  t.values.(j) <- v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t l !smallest then smallest := l;
-  if r < t.size && less t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
 let grow t value =
   let capacity = max 16 (2 * Array.length t.keys) in
   let keys = Array.make capacity 0.0 in
@@ -68,28 +43,75 @@ let grow t value =
   t.seqs <- seqs;
   t.values <- values
 
+(* Sift a hole up from the new last slot while (key, seq) orders before
+   the hole's parent, then fill it. *)
 let push t ~key ~seq value =
   if t.size = Array.length t.keys then grow t value;
-  let i = t.size in
-  t.keys.(i) <- key;
-  t.seqs.(i) <- seq;
-  t.values.(i) <- value;
+  let keys = t.keys and seqs = t.seqs and values = t.values in
+  let hole = ref t.size in
   t.size <- t.size + 1;
-  sift_up t i
+  let continue = ref true in
+  while !continue && !hole > 0 do
+    let parent = (!hole - 1) lsr 2 in
+    let kp = Array.unsafe_get keys parent in
+    if kp < key || (kp = key && Array.unsafe_get seqs parent < seq) then continue := false
+    else begin
+      Array.unsafe_set keys !hole kp;
+      Array.unsafe_set seqs !hole (Array.unsafe_get seqs parent);
+      Array.unsafe_set values !hole (Array.unsafe_get values parent);
+      hole := parent
+    end
+  done;
+  Array.unsafe_set keys !hole key;
+  Array.unsafe_set seqs !hole seq;
+  Array.unsafe_set values !hole value
 
 (* Precondition for [min_key] and [pop_min]: the heap is non-empty. *)
 let min_key t = t.keys.(0)
 
+(* Take the root, then sift the last element down from a hole at the
+   root: at each level the least of up to four children moves up. *)
 let pop_min t =
-  let top = t.values.(0) in
+  let values = t.values in
+  let top = values.(0) in
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    t.keys.(0) <- t.keys.(n);
-    t.seqs.(0) <- t.seqs.(n);
-    t.values.(0) <- t.values.(n);
+    let keys = t.keys and seqs = t.seqs in
+    let key = Array.unsafe_get keys n
+    and seq = Array.unsafe_get seqs n
+    and value = Array.unsafe_get values n in
+    let hole = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let first = (4 * !hole) + 1 in
+      if first >= n then continue := false
+      else begin
+        let last = if first + 3 < n then first + 3 else n - 1 in
+        let best = ref first in
+        let bk = ref (Array.unsafe_get keys first) in
+        let bs = ref (Array.unsafe_get seqs first) in
+        for c = first + 1 to last do
+          let kc = Array.unsafe_get keys c in
+          if kc < !bk || (kc = !bk && Array.unsafe_get seqs c < !bs) then begin
+            best := c;
+            bk := kc;
+            bs := Array.unsafe_get seqs c
+          end
+        done;
+        if !bk < key || (!bk = key && !bs < seq) then begin
+          Array.unsafe_set keys !hole !bk;
+          Array.unsafe_set seqs !hole !bs;
+          Array.unsafe_set values !hole (Array.unsafe_get values !best);
+          hole := !best
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set keys !hole key;
+    Array.unsafe_set seqs !hole seq;
+    Array.unsafe_set values !hole value;
     (* alias the live root instead of retaining the moved-out value *)
-    t.values.(n) <- t.values.(0);
-    sift_down t 0
+    Array.unsafe_set values n (Array.unsafe_get values 0)
   end;
   top

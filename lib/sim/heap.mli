@@ -1,9 +1,11 @@
-(** Array-backed binary min-heap keyed by (key, seq).
+(** Array-backed 4-ary min-heap keyed by (key, seq).
 
     The sequence number breaks ties so same-instant events pop in push
-    order, keeping simulation runs deterministic.  Keys, sequence
-    numbers and values live in parallel flat arrays, so the hot
-    push/pop cycle allocates nothing on steady state. *)
+    order, keeping simulation runs deterministic.  Since (key, seq) is a
+    total order, the pop sequence depends only on what was pushed, not
+    on the heap's shape.  Keys, sequence numbers and values live in
+    parallel flat arrays, so the hot push/pop cycle allocates nothing on
+    steady state. *)
 
 type 'a t
 

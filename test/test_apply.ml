@@ -62,10 +62,10 @@ let test_writeset_clear () =
 
 (* ----- applier scheduler (unit level) ----- *)
 
-let txn_entry ?last_committed ~index ~key () =
+let txn_entry ?(term = 1) ?last_committed ~index ~key () =
   let e =
     Binlog.Entry.make
-      ~opid:(Binlog.Opid.make ~term:1 ~index)
+      ~opid:(Binlog.Opid.make ~term ~index)
       (Binlog.Entry.Transaction
          {
            gtid = Binlog.Gtid.make ~source:"src" ~gno:index;
@@ -332,6 +332,186 @@ let test_lock_conflict_retries_and_preserves_order () =
   Alcotest.(check int) "last commit is entry 2" 2
     (Binlog.Opid.index (Storage.Engine.last_committed_opid storage))
 
+(* ----- lane accounting under random schedules ----- *)
+
+(* A randomized relay log: mostly stamped transactions over a few hot
+   rows (so prepares collide on row locks) with short dependency
+   intervals, plus no-op barriers.  [version] tells an original entry
+   from its replacement after a truncation. *)
+let lane_entry rng ~version ~index =
+  if Random.State.int rng 8 = 0 then
+    Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:version ~index) Binlog.Entry.Noop
+  else
+    let key = Printf.sprintf "row-%d" (Random.State.int rng 4) in
+    let e = txn_entry ~term:version ~index ~key () in
+    (if Random.State.int rng 10 > 0 then
+       let last_committed = max 0 (index - 1 - Random.State.int rng 4) in
+       Binlog.Entry.set_deps e ~last_committed ~sequence_number:index);
+    e
+
+(* Drive one applier through a seeded schedule: batched relay-log
+   signals, a row-lock model whose locks are held from prepare until a
+   slow FIFO engine commit (so conflicting prepares retry), one log
+   truncation while entries are in flight, and one stop/start.  Checks
+   the lane invariants on every [process] call and on a fine probe tick;
+   returns the final applied index. *)
+let run_lane_schedule ~workers ~seed =
+  let n = 48 in
+  let rng = Random.State.make [| seed |] in
+  (* slot [i] holds log index [i]; slot 0 is unused *)
+  let make_log version =
+    Array.init (n + 1) (fun i -> lane_entry rng ~version ~index:(max i 1))
+  in
+  let log = make_log 1 in
+  let replacement = make_log 2 in
+  let trunc_at = 200.0 +. Random.State.float rng 1500.0 in
+  let trunc_from = 1 + Random.State.int rng n in
+  let stop_at = 200.0 +. Random.State.float rng 3000.0 in
+  let restart_gap = 50.0 +. Random.State.float rng 400.0 in
+  let engine = Sim.Engine.create ~seed () in
+  let violations = ref [] in
+  let fail msg = violations := msg :: !violations in
+  let locks = Hashtbl.create 8 in
+  (* (index, term, key, on_done) in submission order: the commit pipeline *)
+  let pipeline = Queue.create () in
+  (* engine-committed (index, term): a commit reported to a fenced
+     token is re-applied after restart and must replay idempotently *)
+  let committed = Hashtbl.create 64 in
+  (* live entries between [process] and [on_submitted] *)
+  let submitting = Hashtbl.create 4 in
+  let applier = ref None in
+  let process entry ~live ~on_submitted ~on_done =
+    let a = Option.get !applier in
+    let index = Binlog.Entry.index entry in
+    if Myraft.Applier.busy_workers a > workers then
+      fail (Printf.sprintf "busy %d > %d lanes" (Myraft.Applier.busy_workers a) workers);
+    Hashtbl.iter
+      (fun other live_other ->
+        if other <> index && live_other () then
+          fail (Printf.sprintf "entry %d submitted while %d is Submitting" index other))
+      submitting;
+    Hashtbl.replace submitting index live;
+    let submit key =
+      Hashtbl.remove submitting index;
+      Queue.add (index, Binlog.Entry.term entry, key, on_done) pipeline;
+      on_submitted ()
+    in
+    match Binlog.Entry.payload entry with
+    | _ when Hashtbl.mem committed (index, Binlog.Entry.term entry) ->
+      (* idempotent replay: the outcome is known before submission *)
+      Hashtbl.remove submitting index;
+      on_done ~ok:true;
+      on_submitted ()
+    | Binlog.Entry.Transaction { events; _ } ->
+      let key =
+        match List.map Binlog.Event.body events with
+        | Binlog.Event.Write_rows { ops = [ Binlog.Event.Insert { key; _ } ]; _ } :: _ ->
+          key
+        | _ -> assert false
+      in
+      let rec try_prepare () =
+        if not (live ()) then Hashtbl.remove submitting index
+        else if Hashtbl.mem locks key then
+          ignore (Sim.Engine.schedule engine ~delay:30.0 try_prepare)
+        else begin
+          Hashtbl.replace locks key index;
+          submit (Some key)
+        end
+      in
+      try_prepare ()
+    | _ -> submit None
+  in
+  let a =
+    Myraft.Applier.create ~engine ~params:(params_with_workers workers) ~process ()
+  in
+  applier := Some a;
+  (* Engine commit: one pipeline item per 90 us, FIFO, releasing its
+     row lock — slower than the 60 us execute phase, so locks pile up. *)
+  let rec committer () =
+    (match Queue.take_opt pipeline with
+    | Some (index, term, key, on_done) ->
+      Option.iter (Hashtbl.remove locks) key;
+      Hashtbl.replace committed (index, term) ();
+      on_done ~ok:true
+    | None -> ());
+    ignore (Sim.Engine.schedule engine ~delay:90.0 committer)
+  in
+  committer ();
+  let rec probe () =
+    if Myraft.Applier.busy_workers a > workers then
+      fail "probe: busy lanes exceed workers";
+    ignore (Sim.Engine.schedule engine ~delay:7.0 probe)
+  in
+  probe ();
+  let signalled = ref 0 in
+  let entries ~from ~upto =
+    List.init (max 0 (upto - from + 1)) (fun i -> log.(from + i))
+  in
+  let rec feed () =
+    if !signalled < n then begin
+      let upto = min n (!signalled + 1 + Random.State.int rng 6) in
+      Myraft.Applier.signal a (entries ~from:(!signalled + 1) ~upto);
+      signalled := upto;
+      ignore (Sim.Engine.schedule engine ~delay:(Random.State.float rng 150.0) feed)
+    end
+  in
+  Myraft.Applier.start a ~from_index:1 ~backlog:[];
+  feed ();
+  (* Drop what the pipeline holds for entries at or above [from]: their
+     transactions are rolled back, releasing the row locks. *)
+  let rollback ~from =
+    let keep = Queue.create () in
+    Queue.iter
+      (fun ((index, _, key, _) as item) ->
+        if index >= from then Option.iter (Hashtbl.remove locks) key
+        else Queue.add item keep)
+      pipeline;
+    Queue.clear pipeline;
+    Queue.transfer keep pipeline
+  in
+  ignore
+    (Sim.Engine.schedule_at engine ~time:trunc_at (fun () ->
+         (* Raft never truncates committed entries, and the applier only
+            holds committed ones: the point lies above the mark. *)
+         let from = max trunc_from (Myraft.Applier.applied_index a + 1) in
+         for i = from to n do
+           log.(i) <- replacement.(i)
+         done;
+         Myraft.Applier.handle_truncation a ~from_index:from;
+         rollback ~from;
+         Myraft.Applier.signal a (entries ~from ~upto:!signalled)));
+  ignore
+    (Sim.Engine.schedule_at engine ~time:stop_at (fun () ->
+         Myraft.Applier.stop a;
+         ignore
+           (Sim.Engine.schedule engine ~delay:restart_gap (fun () ->
+                (* Restart from the engine's recovery point: everything
+                   not yet committed is rolled back and re-applied. *)
+                let from = Myraft.Applier.applied_index a + 1 in
+                rollback ~from;
+                Myraft.Applier.start a ~from_index:from
+                  ~backlog:(entries ~from ~upto:!signalled)))));
+  Sim.Engine.run_until engine 50_000.0;
+  if Myraft.Applier.busy_workers a <> 0 then
+    fail
+      (Printf.sprintf "%d lanes still held after drain" (Myraft.Applier.busy_workers a));
+  (Myraft.Applier.applied_index a, List.rev !violations)
+
+let lane_case_arb =
+  QCheck.make
+    ~print:(fun (seed, workers) -> Printf.sprintf "seed=%d workers=%d" seed workers)
+    QCheck.Gen.(pair (1 -- 100_000) (oneofl [ 2; 3; 4; 8 ]))
+
+let prop_lane_accounting =
+  QCheck.Test.make ~name:"lane counts hold under conflicts, truncation and restart"
+    ~count:60 lane_case_arb (fun (seed, workers) ->
+      let applied, violations = run_lane_schedule ~workers ~seed in
+      let serial, serial_violations = run_lane_schedule ~workers:1 ~seed in
+      if violations <> [] || serial_violations <> [] then
+        QCheck.Test.fail_reportf "violations: %s"
+          (String.concat "; " (violations @ serial_violations));
+      applied = 48 && applied = serial)
+
 (* ----- primary-side stamping, end to end ----- *)
 
 let test_primary_stamps_dependency_intervals () =
@@ -533,6 +713,7 @@ let suites =
           test_dependent_txn_waits_for_mark;
         Alcotest.test_case "lock conflict retries, order preserved" `Quick
           test_lock_conflict_retries_and_preserves_order;
+        QCheck_alcotest.to_alcotest prop_lane_accounting;
       ] );
     ( "apply.truncation",
       [

@@ -126,6 +126,47 @@ let test_crc32_known_value () =
   (* CRC-32 of "123456789" is 0xCBF43926 (IEEE). *)
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Binlog.Checksum.string "123456789")
 
+(* Bit-at-a-time CRC-32 over raw bytes: no tables, so it shares nothing
+   with the sliced implementation it checks. *)
+let bitwise_crc32 bytes =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    bytes;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* The slicing-by-8 [feed_string] against the bitwise reference: every
+   length 0-600 (so every tail length), continuing from a state left by
+   a random prefix of every length mod 8 (so 8-byte blocks start at
+   every offset of the stream). *)
+let test_crc32_sliced_matches_bitwise () =
+  let rng = Random.State.make [| 600 |] in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for len = 0 to 600 do
+    let s = random_string len in
+    for offset = 0 to 7 do
+      let prefix = random_string (offset + (8 * Random.State.int rng 3)) in
+      let open Binlog.Checksum in
+      let sliced = finalize (feed_string (feed_string init prefix) s) in
+      if not (Int32.equal sliced (bitwise_crc32 (prefix ^ s))) then
+        Alcotest.failf "len %d after a %d-byte prefix: sliced %lx" len
+          (String.length prefix) sliced
+    done
+  done;
+  (* [feed_int] folds the 8 little-endian bytes of the int. *)
+  List.iter
+    (fun n ->
+      let bytes = String.init 8 (fun i -> Char.chr ((n lsr (8 * i)) land 0xFF)) in
+      Alcotest.(check int32)
+        (Printf.sprintf "feed_int %d" n)
+        (bitwise_crc32 ("ab" ^ bytes))
+        Binlog.Checksum.(finalize (feed_int (feed_string init "ab") n)))
+    [ 0; 1; 255; 65_536; 1 lsl 40; max_int; 123_456_789_012 ]
+
 let test_entry_checksum_roundtrip () =
   let e = entry ~term:1 ~index:1 () in
   Alcotest.(check bool) "verifies" true (Binlog.Entry.verify e)
@@ -537,6 +578,8 @@ let suites =
     ( "binlog.entry",
       [
         Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_value;
+        Alcotest.test_case "sliced crc32 = bitwise reference" `Quick
+          test_crc32_sliced_matches_bitwise;
         Alcotest.test_case "checksum roundtrip" `Quick test_entry_checksum_roundtrip;
         Alcotest.test_case "entry size" `Quick test_entry_size_positive;
         Alcotest.test_case "event sizes" `Quick test_event_sizes;

@@ -5,7 +5,8 @@
      file-range partitioning).
    - Quorum: FlexiRaft intersection — any satisfied election quorum
      shares a voter with any satisfiable data quorum of the last
-     leader's region. *)
+     leader's region; the order-statistic commit index and lease
+     threshold equal the per-threshold quorum scans they replaced. *)
 
 (* ----- log store ----- *)
 
@@ -215,6 +216,176 @@ let prop_pessimistic_election_intersects_all_regions =
       in
       let data_ok = Raft.Quorum.data_quorum_satisfied mode cfg ~leader_region ~acks in
       (not (election_ok && data_ok)) || List.exists (fun v -> List.mem v acks) votes)
+
+(* ----- order-statistic quorums ----- *)
+
+(* A leader's view of its group: a random config (1-4 regions, voters
+   and learners, MySQL servers and logtailers), a leader that may be a
+   learner or not in the config at all, the peers present in its table
+   with their match indexes and acknowledged (local, global) send
+   stamps.  Small value ranges force ties. *)
+type ack_case = {
+  mode : Raft.Quorum.mode;
+  cfg : Raft.Types.config;
+  leader : Raft.Types.node_id;
+  leader_region : string;
+  self_durable : int;
+  last_index : int;
+  commit_index : int;
+  matches : (Raft.Types.node_id * int) list;
+  stamps : (Raft.Types.node_id * (float * float)) list;
+  now : float;
+  now_global : float;
+}
+
+let ack_case_gen =
+  QCheck.Gen.(
+    let* mode =
+      oneofl Raft.Quorum.[ Majority; Single_region_dynamic; Region_majorities ]
+    in
+    let* region_count = 1 -- 4 in
+    let* regions =
+      list_repeat region_count
+        (list_size (1 -- 4)
+           (pair (frequencyl [ (3, true); (1, false) ])
+              (oneofl Raft.Types.[ Mysql_server; Logtailer ])))
+    in
+    let members =
+      List.concat
+        (List.mapi
+           (fun r ms ->
+             List.mapi
+               (fun i (voter, kind) ->
+                 {
+                   Raft.Types.id = Printf.sprintf "n%d_%d" r i;
+                   region = Printf.sprintf "r%d" r;
+                   voter;
+                   kind;
+                 })
+               ms)
+           regions)
+    in
+    let cfg = { Raft.Types.members } in
+    let ids = Raft.Types.member_ids cfg in
+    let* leader = frequency [ (4, oneofl ids); (1, return "absent") ] in
+    let* leader_region = oneofl (List.init region_count (Printf.sprintf "r%d")) in
+    let* self_durable = 0 -- 12 in
+    let* last_index = map (( + ) self_durable) (0 -- 3) in
+    let* commit_index = 0 -- last_index in
+    let peers = List.filter (fun id -> id <> leader) ids in
+    let* present =
+      list_repeat (List.length peers) (frequencyl [ (5, true); (1, false) ])
+    in
+    let peers =
+      List.filter_map
+        (fun (id, p) -> if p then Some id else None)
+        (List.combine peers present)
+    in
+    let* match_values = list_repeat (List.length peers) (0 -- 14) in
+    let stamp = oneofl [ neg_infinity; 1.0; 2.0; 3.0; 4.0; 5.0 ] in
+    let* stamp_values =
+      list_repeat (List.length peers) (pair stamp (oneofl [ 1.0; 2.0; 3.0; 7.0 ]))
+    in
+    let* now = oneofl [ 0.5; 3.0; 5.0; 6.0 ] in
+    let* now_global = oneofl [ 2.0; 5.0; 9.0 ] in
+    return
+      {
+        mode;
+        cfg;
+        leader;
+        leader_region;
+        self_durable;
+        last_index;
+        commit_index;
+        matches = List.combine peers match_values;
+        stamps =
+          List.map2 (fun id (l, g) -> (id, (if l = neg_infinity then (l, l) else (l, g))))
+            peers stamp_values;
+        now;
+        now_global;
+      })
+
+let ack_case_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf
+        "mode=%s cfg=[%s] leader=%s leader_region=%s durable=%d last=%d commit=%d \
+         matches=[%s] stamps=[%s] now=(%g,%g)"
+        (Raft.Quorum.mode_to_string c.mode)
+        (Raft.Types.describe_config c.cfg) c.leader c.leader_region c.self_durable
+        c.last_index c.commit_index
+        (String.concat ","
+           (List.map (fun (id, m) -> Printf.sprintf "%s:%d" id m) c.matches))
+        (String.concat ","
+           (List.map (fun (id, (l, g)) -> Printf.sprintf "%s:(%g,%g)" id l g) c.stamps))
+        c.now c.now_global)
+    ack_case_gen
+
+(* Oracle: the per-index scan the leader used to run — walk up from the
+   commit index while the acks at [n] satisfy the data quorum. *)
+let scan_commit_index c =
+  let rec scan n best =
+    if n > c.last_index then best
+    else
+      let acks =
+        (if c.self_durable >= n then [ c.leader ] else [])
+        @ List.filter_map (fun (id, m) -> if m >= n then Some id else None) c.matches
+      in
+      if
+        Raft.Quorum.data_quorum_satisfied c.mode c.cfg ~leader_region:c.leader_region
+          ~acks
+      then scan (n + 1) (Some n)
+      else best
+  in
+  scan (c.commit_index + 1) None
+
+(* Oracle: the lease's old sort-and-find over (local, global) candidate
+   stamps, newest first; ties on the local stamp fall to the newer
+   global one. *)
+let sort_and_find_lease c =
+  let candidates =
+    (c.now, c.now_global)
+    :: List.filter_map
+         (fun (_, (l, g)) -> if l > neg_infinity then Some (l, g) else None)
+         c.stamps
+  in
+  let quorum_at (threshold, _) =
+    let acks =
+      c.leader
+      :: List.filter_map
+           (fun (id, (l, _)) -> if l >= threshold then Some id else None)
+           c.stamps
+    in
+    Raft.Quorum.data_quorum_satisfied c.mode c.cfg ~leader_region:c.leader_region ~acks
+  in
+  List.find_opt quorum_at (List.sort_uniq (fun a b -> compare b a) candidates)
+
+let prop_order_statistic_commit_index =
+  QCheck.Test.make ~name:"order-statistic commit index = per-index scan" ~count:2000
+    ack_case_arb (fun c ->
+      let acked =
+        Raft.Quorum.acked_index c.mode c.cfg ~leader_region:c.leader_region ~self:c.leader
+          ~self_durable:c.self_durable
+          ~match_index:(fun id -> List.assoc_opt id c.matches)
+      in
+      let advanced =
+        match acked with
+        | Some n when min n c.last_index > c.commit_index -> Some (min n c.last_index)
+        | _ -> None
+      in
+      advanced = scan_commit_index c)
+
+let prop_order_statistic_lease =
+  QCheck.Test.make ~name:"order-statistic lease threshold = sort-and-find" ~count:2000
+    ack_case_arb (fun c ->
+      let threshold =
+        Raft.Quorum.lease_threshold c.mode c.cfg ~leader_region:c.leader_region
+          ~self:c.leader ~now:c.now ~now_global:c.now_global
+          ~stamp:(fun id ->
+            match List.assoc_opt id c.stamps with Some (l, _) -> l | None -> neg_infinity)
+          ~iter_stamps:(fun f -> List.iter (fun (_, (l, g)) -> f l g) c.stamps)
+      in
+      threshold = sort_and_find_lease c)
 
 (* ----- log cache: sliced reads ----- *)
 
@@ -443,6 +614,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_flexiraft_quorum_intersection;
         QCheck_alcotest.to_alcotest prop_majority_quorums_intersect;
         QCheck_alcotest.to_alcotest prop_pessimistic_election_intersects_all_regions;
+        QCheck_alcotest.to_alcotest prop_order_statistic_commit_index;
+        QCheck_alcotest.to_alcotest prop_order_statistic_lease;
       ] );
     ( "properties.log_cache",
       [

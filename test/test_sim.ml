@@ -68,6 +68,47 @@ let test_heap_fifo_ties () =
     else Alcotest.(check int) "tie broken by seq" i (Sim.Heap.pop_min h)
   done
 
+(* Random interleavings of pushes and pops over a handful of distinct
+   keys (so most keys tie): every pop must return the (key, seq)-least
+   pending entry, exactly as a sorted reference list would. *)
+type heap_op = Push of int | Pop
+
+let heap_ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map (function Push k -> Printf.sprintf "+%d" k | Pop -> "-") ops))
+    QCheck.Gen.(
+      list_size (0 -- 400)
+        (frequency [ (3, map (fun k -> Push k) (0 -- 4)); (2, return Pop) ]))
+
+let prop_heap_pops_in_key_seq_order =
+  QCheck.Test.make ~name:"pops follow (key, seq) order" ~count:500 heap_ops_arb
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let pending = ref [] (* (key, seq), sorted *) in
+      let seq = ref 0 in
+      let pop_matches () =
+        match !pending with
+        | [] -> Sim.Heap.is_empty h
+        | (key, s) :: rest ->
+          pending := rest;
+          Sim.Heap.length h = List.length rest + 1
+          && Sim.Heap.min_key h = key
+          && Sim.Heap.pop_min h = s
+      in
+      List.for_all
+        (function
+          | Push k ->
+            incr seq;
+            Sim.Heap.push h ~key:(float_of_int k) ~seq:!seq !seq;
+            pending := List.sort compare ((float_of_int k, !seq) :: !pending);
+            true
+          | Pop -> pop_matches ())
+        ops
+      && List.for_all (fun _ -> pop_matches ()) !pending
+      && Sim.Heap.is_empty h)
+
 let test_engine_ordering () =
   let e = Sim.Engine.create () in
   let order = ref [] in
@@ -97,6 +138,30 @@ let test_engine_nested_schedule () =
                 times := Sim.Engine.now e :: !times))));
   Sim.Engine.run_until e 100.0;
   Alcotest.(check (list (float 0.001))) "nested timing" [ 5.0; 10.0 ] (List.rev !times)
+
+(* Same-instant events fire in schedule order, with cancelled handles
+   interleaved among them and more same-instant events scheduled from
+   inside a handler (those queue behind everything already pending). *)
+let test_engine_same_instant_fifo_with_cancels () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let expected = ref [] in
+  for i = 1 to 60 do
+    let fn () =
+      fired := i :: !fired;
+      if i = 10 then
+        for j = 101 to 105 do
+          ignore (Sim.Engine.schedule e ~delay:0.0 (fun () -> fired := j :: !fired))
+        done
+    in
+    let h = Sim.Engine.schedule e ~delay:(if i mod 7 = 0 then 5.0 else 10.0) fn in
+    if i mod 3 = 0 then Sim.Engine.cancel h else expected := i :: !expected
+  done;
+  Sim.Engine.run_until e 100.0;
+  let early, late = List.partition (fun i -> i mod 7 = 0) (List.rev !expected) in
+  Alcotest.(check (list int)) "schedule order within each instant, cancels skipped"
+    (early @ late @ [ 101; 102; 103; 104; 105 ])
+    (List.rev !fired)
 
 let test_engine_run_until_horizon () =
   let e = Sim.Engine.create () in
@@ -329,6 +394,7 @@ let suites =
       [
         Alcotest.test_case "min ordering" `Quick test_heap_ordering;
         Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
+        QCheck_alcotest.to_alcotest prop_heap_pops_in_key_seq_order;
       ] );
     ( "sim.engine",
       [
@@ -336,6 +402,8 @@ let suites =
         Alcotest.test_case "cancellation" `Quick test_engine_cancel;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
         Alcotest.test_case "run_until horizon" `Quick test_engine_run_until_horizon;
+        Alcotest.test_case "same-instant fifo with cancels" `Quick
+          test_engine_same_instant_fifo_with_cancels;
       ] );
     ( "sim.network",
       [
