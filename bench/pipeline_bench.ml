@@ -14,7 +14,11 @@
    Every cell runs inside a [Gc.quick_stat] delta, so the JSON also
    records the real allocator cost of the closed loop — minor-heap words
    per committed transaction is the figure the hot-path work of the
-   zero-allocation pass is gated on.
+   zero-allocation pass is gated on.  At window end each cell also runs
+   a full major collection and records the live heap words per committed
+   transaction: what the fleet retains, not what it churns through (a
+   second in-memory copy of every entry shows up here and nowhere else).
+   For a fixed seed both figures are deterministic.
 
    Writes BENCH_PIPELINE.json and, for CI, gates on:
    - the 10 ms cells: window 8 must commit at least [gate_ratio] times
@@ -23,7 +27,9 @@
      (the pre-hot-path-pass baseline times [gate_speedup_2ms]);
    - allocation: minor-heap words per committed txn in the 2 ms window-8
      cell must not regress more than 10% over the budget recorded in the
-     committed BENCH_PIPELINE.json. *)
+     committed BENCH_PIPELINE.json;
+   - retention: live heap words per committed txn in the same cell, with
+     the same recorded-budget ratchet and 10% slack. *)
 
 open Common
 
@@ -53,8 +59,9 @@ let gate_speedup_2ms = 1.3
 
 let gate_floor_tps_2ms = baseline_tps_2ms *. gate_speedup_2ms
 
-(* Allocation regression budget: >10% growth of minor-heap words per
-   committed txn over the recorded value fails the gate. *)
+(* Allocation and retention regression budget: >10% growth of minor-heap
+   (or live-heap) words per committed txn over the recorded value fails
+   the gate. *)
 let alloc_slack = 1.10
 
 type cell = {
@@ -68,6 +75,7 @@ type cell = {
   c_nacks : int;
   c_alloc : Common.alloc_stats;
   c_words_per_txn : float;
+  c_live_words_per_txn : float;
 }
 
 let run_cell ~window ~rtt_ms ~seed =
@@ -102,6 +110,8 @@ let run_cell ~window ~rtt_ms ~seed =
     Common.with_alloc_stats (fun () -> Myraft.Cluster.run_for cluster measure)
   in
   let committed = stats.Workload.Generator.committed - committed0 in
+  Gc.full_major ();
+  let live_words = (Gc.stat ()).Gc.live_words in
   Workload.Generator.stop gen;
   let snap = Myraft.Cluster.metrics_snapshot cluster in
   (* BENCH_DEBUG dumps the merged metrics snapshot per cell — handy when
@@ -121,25 +131,29 @@ let run_cell ~window ~rtt_ms ~seed =
     c_nacks = Obs.Metrics.counter_of snap "raft.nacks";
     c_alloc = alloc;
     c_words_per_txn = Common.words_per_txn alloc ~txns:committed;
+    c_live_words_per_txn =
+      (if committed <= 0 then 0.0 else float_of_int live_words /. float_of_int committed);
   }
 
 let json_of_cell c =
   Printf.sprintf
     "    {\"window\": %d, \"rtt_ms\": %g, \"committed\": %d, \"tps\": %.1f, \
-     \"p50_us\": %.1f, \"p99_us\": %.1f, \"retransmits\": %d, \"nacks\": %d, %s}"
+     \"p50_us\": %.1f, \"p99_us\": %.1f, \"retransmits\": %d, \"nacks\": %d, %s, \
+     \"live_words_per_txn\": %.1f}"
     c.c_window c.c_rtt_ms c.c_committed c.c_tps c.c_p50_us c.c_p99_us c.c_retransmits
     c.c_nacks
     (Common.alloc_json c.c_alloc ~txns:c.c_committed)
+    c.c_live_words_per_txn
 
-(* The alloc budget previously recorded in BENCH_PIPELINE.json (the
-   committed file, i.e. the state of the world before this run).  None
-   when the file or field is missing — first run, no gate. *)
-let recorded_alloc_budget ~path =
+(* A budget previously recorded in BENCH_PIPELINE.json (the committed
+   file, i.e. the state of the world before this run) under [field].
+   None when the file or field is missing — first run, no gate. *)
+let recorded_budget ~path ~field =
   match In_channel.with_open_text path In_channel.input_all with
   | exception _ -> None
   | body ->
     (* substring scan; the file is machine-written by this bench *)
-    let key = "\"words_per_txn_budget\": " in
+    let key = Printf.sprintf "\"%s\": " field in
     let rec find i =
       if i + String.length key > String.length body then None
       else if String.sub body i (String.length key) = key then begin
@@ -157,7 +171,10 @@ let recorded_alloc_budget ~path =
     in
     find 0
 
-let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget =
+(* The budget to record: the ratchet only tightens. *)
+let ratchet budget value = match budget with Some b -> Float.min b value | None -> value
+
+let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"experiment\": \"pipeline\",\n";
@@ -173,11 +190,14 @@ let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget =
   Printf.fprintf oc
     "  \"hot_path_gate\": {\"rtt_ms\": 2, \"window\": 8, \"tps\": %.1f, \
      \"baseline_tps\": %g, \"speedup\": %.2f, \"min_speedup\": %g, \
-     \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f}\n"
+     \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f, \
+     \"live_words_per_txn\": %.1f, \"live_words_per_txn_budget\": %.1f}\n"
     hot.c_tps baseline_tps_2ms
     (hot.c_tps /. baseline_tps_2ms)
     gate_speedup_2ms hot.c_words_per_txn
-    (match alloc_budget with Some b -> Float.min b hot.c_words_per_txn | None -> hot.c_words_per_txn);
+    (ratchet alloc_budget hot.c_words_per_txn)
+    hot.c_live_words_per_txn
+    (ratchet live_budget hot.c_live_words_per_txn);
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
@@ -190,20 +210,22 @@ let run () =
   let windows = if quick then [ 1; 8 ] else [ 1; 2; 8; 32 ] in
   let rtts = if quick then [ 2.0; 10.0 ] else [ 2.0; 10.0; 30.0 ] in
   let path = "BENCH_PIPELINE.json" in
-  let alloc_budget = recorded_alloc_budget ~path in
+  let alloc_budget = recorded_budget ~path ~field:"words_per_txn_budget" in
+  let live_budget = recorded_budget ~path ~field:"live_words_per_txn_budget" in
   Printf.printf "  closed loop, %d client threads, %.0f s measured per cell\n\n%!"
     threads (measure /. s);
-  Printf.printf "  %-8s %-8s %10s %10s %10s %10s %6s %6s %10s\n" "window" "rtt_ms"
-    "committed" "tps" "p50_ms" "p99_ms" "rtx" "nack" "words/txn";
+  Printf.printf "  %-8s %-8s %10s %10s %10s %10s %6s %6s %10s %10s\n" "window" "rtt_ms"
+    "committed" "tps" "p50_ms" "p99_ms" "rtx" "nack" "words/txn" "live/txn";
   let cells =
     List.concat_map
       (fun rtt_ms ->
         List.map
           (fun window ->
             let c = run_cell ~window ~rtt_ms ~seed:71 in
-            Printf.printf "  %-8d %-8g %10d %10.0f %10.2f %10.2f %6d %6d %10.0f\n%!"
-              window rtt_ms c.c_committed c.c_tps (c.c_p50_us /. ms) (c.c_p99_us /. ms)
-              c.c_retransmits c.c_nacks c.c_words_per_txn;
+            Printf.printf
+              "  %-8d %-8g %10d %10.0f %10.2f %10.2f %6d %6d %10.0f %10.0f\n%!" window rtt_ms
+              c.c_committed c.c_tps (c.c_p50_us /. ms) (c.c_p99_us /. ms)
+              c.c_retransmits c.c_nacks c.c_words_per_txn c.c_live_words_per_txn;
             c)
           windows)
       rtts
@@ -215,7 +237,7 @@ let run () =
   let hot = find 8 2.0 in
   let ratio = w8.c_tps /. Float.max w1.c_tps 1e-9 in
   let gate_pass = ratio >= gate_ratio && w8.c_tps >= gate_floor_tps in
-  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget;
+  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget;
   Printf.printf
     "\n  gate @ %.0f ms RTT: window 8 = %.0f tps, window 1 = %.0f tps (%.2fx, need \
      >= %.1fx and >= %.0f tps)\n%!"
@@ -229,17 +251,24 @@ let run () =
     (match alloc_budget with
     | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
     | None -> " (no recorded budget; first run)");
+  Printf.printf "  retention gate @ 2 ms RTT, window 8: %.0f live words/txn%s\n%!"
+    hot.c_live_words_per_txn
+    (match live_budget with
+    | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
+    | None -> " (no recorded budget; first run)");
   let hot_pass = hot.c_tps >= gate_floor_tps_2ms in
-  let alloc_pass =
-    match alloc_budget with
-    | Some b -> hot.c_words_per_txn <= b *. alloc_slack
-    | None -> true
+  let within budget value =
+    match budget with Some b -> value <= b *. alloc_slack | None -> true
   in
-  if gate_pass && hot_pass && alloc_pass then Printf.printf "  pipeline gate: PASS\n%!"
+  let alloc_pass = within alloc_budget hot.c_words_per_txn in
+  let live_pass = within live_budget hot.c_live_words_per_txn in
+  if gate_pass && hot_pass && alloc_pass && live_pass then
+    Printf.printf "  pipeline gate: PASS\n%!"
   else begin
-    Printf.printf "  pipeline gate: FAIL%s%s%s\n%!"
+    Printf.printf "  pipeline gate: FAIL%s%s%s%s\n%!"
       (if gate_pass then "" else " [window ratio]")
       (if hot_pass then "" else " [hot-path tps]")
-      (if alloc_pass then "" else " [alloc regression]");
+      (if alloc_pass then "" else " [alloc regression]")
+      (if live_pass then "" else " [retention regression]");
     exit 1
   end

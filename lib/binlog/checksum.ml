@@ -77,8 +77,8 @@ let feed_string crc s =
    log indexes, terms and GNOs — all well under 2^63). *)
 let feed_int crc n = feed_block crc (n land 0xFFFFFFFF) ((n lsr 32) land 0xFFFFFFFF)
 
-let feed_int32 crc v = feed_int crc (Int32.to_int v land 0xFFFFFFFF)
+(* The final CRC's 32 bits as a non-negative int: digests kept in bulk
+   (entries, the engine's chain) hold it unboxed. *)
+let finalize crc = crc lxor 0xFFFFFFFF
 
-let finalize crc = Int32.of_int (crc lxor 0xFFFFFFFF)
-
-let string s = finalize (feed_string init s)
+let string s = Int32.of_int (finalize (feed_string init s))

@@ -10,8 +10,9 @@ val string : string -> int32
 
 (** {2 Streaming interface}
 
-    [finalize (feed_string init s)] equals [string s].  The state is an
-    immediate value; threading it through a fold allocates nothing. *)
+    [Int32.of_int (finalize (feed_string init s))] equals [string s].
+    The state is an immediate value; threading it through a fold
+    allocates nothing. *)
 
 type state
 
@@ -22,7 +23,5 @@ val feed_string : state -> string -> state
 (** Feed a native int as 8 little-endian bytes. *)
 val feed_int : state -> int -> state
 
-(** Feed the 4 bytes of an [int32] (little-endian). *)
-val feed_int32 : state -> int32 -> state
-
-val finalize : state -> int32
+(** The CRC's 32 bits as a non-negative int (unboxed). *)
+val finalize : state -> int

@@ -20,20 +20,68 @@ type payload =
    header metadata stamped by the primary, not client payload. *)
 type deps = { last_committed : int; sequence_number : int }
 
+(* The payload is held once, structured: the checksum is folded straight
+   from its fields, so no wire-form copy lives beside it.  The CRC is kept
+   as an immediate (its 32 bits fit an OCaml int) rather than a boxed
+   [int32]. *)
 type t = {
   opid : Opid.t;
   payload : payload;
-  serialized : string;
-    (* the payload's wire form, computed exactly once at [make] time and
-       shared by every later read (replication, checksum verification,
-       proxy reconstitution).  Re-marshalling on each touch used to be
-       the single largest per-entry allocation on the commit path. *)
-  checksum : int32;
+  checksum : int;
   size : int;
   mutable deps : deps option;
 }
 
-let serialize payload = Marshal.to_string payload []
+(* ----- payload checksum -----
+
+   CRC-32 over a canonical byte stream of the payload's fields, streamed
+   through [Checksum] without building it: one tag per payload and event
+   constructor, a length before every string and list, every field (both
+   32-bit halves of an Xid).  Tags and lengths make the stream
+   unambiguous, so two payloads that differ in any field feed different
+   bytes. *)
+
+module C = Checksum
+
+let feed_str st s = C.feed_string (C.feed_int st (String.length s)) s
+
+let feed_gtid st g = C.feed_int (feed_str st (Gtid.source g)) (Gtid.gno g)
+
+let feed_row_op st = function
+  | Event.Insert { key; value } -> feed_str (feed_str (C.feed_int st 1) key) value
+  | Event.Update { key; before; after } ->
+    feed_str (feed_str (feed_str (C.feed_int st 2) key) before) after
+  | Event.Delete { key; before } -> feed_str (feed_str (C.feed_int st 3) key) before
+
+let feed_event st e =
+  match Event.body e with
+  | Event.Format_description -> C.feed_int st 1
+  | Event.Previous_gtids set -> feed_str (C.feed_int st 2) (Gtid_set.to_string set)
+  | Event.Gtid_event g -> feed_gtid (C.feed_int st 3) g
+  | Event.Table_map { table } -> feed_str (C.feed_int st 4) table
+  | Event.Write_rows { table; ops } ->
+    let st = C.feed_int (feed_str (C.feed_int st 5) table) (List.length ops) in
+    List.fold_left feed_row_op st ops
+  | Event.Query { sql } -> feed_str (C.feed_int st 6) sql
+  | Event.Xid { xid } ->
+    let lo = Int64.to_int (Int64.logand xid 0xFFFF_FFFFL) in
+    let hi = Int64.to_int (Int64.shift_right_logical xid 32) in
+    C.feed_int (C.feed_int (C.feed_int st 7) lo) hi
+  | Event.Rotate { next_file } -> feed_str (C.feed_int st 8) next_file
+
+let digest payload =
+  let st = C.init in
+  let st =
+    match payload with
+    | Transaction { gtid; events } ->
+      let st = C.feed_int (feed_gtid (C.feed_int st 1) gtid) (List.length events) in
+      List.fold_left feed_event st events
+    | Noop -> C.feed_int st 2
+    | Config_change { description; encoded } ->
+      feed_str (feed_str (C.feed_int st 3) description) encoded
+    | Rotate_marker { next_file } -> feed_str (C.feed_int st 4) next_file
+  in
+  C.finalize st
 
 let payload_size payload =
   match payload with
@@ -44,20 +92,13 @@ let payload_size payload =
   | Rotate_marker { next_file } -> 27 + String.length next_file
 
 let make ~opid payload =
-  let serialized = serialize payload in
-  let checksum = Checksum.string serialized in
   {
     opid;
     payload;
-    serialized;
-    checksum;
+    checksum = digest payload;
     size = payload_size payload + 16 (* opid + checksum framing *);
     deps = None;
   }
-
-(* The memoized serialized form: repeated calls return the same physical
-   string — callers may slice it but must never mutate it. *)
-let payload_bytes t = t.serialized
 
 let opid t = t.opid
 
@@ -69,9 +110,9 @@ let payload t = t.payload
 
 let size t = t.size
 
-let checksum t = t.checksum
+let checksum t = Int32.of_int t.checksum
 
-let verify t = Int32.equal (Checksum.string t.serialized) t.checksum
+let verify t = digest t.payload = t.checksum
 
 let deps t = t.deps
 
@@ -84,7 +125,8 @@ let is_transaction t = match t.payload with Transaction _ -> true | _ -> false
 
 (* Re-stamp an existing payload with a new OpId: used when a leader
    replicates a client transaction whose payload was built before Raft
-   assigned the slot. *)
+   assigned the slot.  The checksum covers the payload only, so it and
+   the payload itself are shared, not recomputed or copied. *)
 let with_opid t ~opid = { t with opid }
 
 (* ----- fault injection (chaos) ----- *)
@@ -95,12 +137,11 @@ type corruption = Header | Body
    bits under the entry.  [Header] flips a bit inside the stored checksum
    field; [Body] mutates the payload while keeping the now-stale checksum.
    Either way [verify] must fail on the result.  The mutated payload stays
-   structurally well-formed (no mangled Marshal bytes to trip over): the
-   point is silent content damage only the CRC can catch.  Entries whose
-   payload has no distinguishable body bytes fall back to the header
-   flavour. *)
+   structurally well-formed: the point is silent content damage only the
+   CRC can catch.  Entries whose payload has no distinguishable body
+   bytes fall back to the header flavour. *)
 let corrupt t flavor =
-  let flip_header () = { t with checksum = Int32.logxor t.checksum 0x00010000l } in
+  let flip_header () = { t with checksum = t.checksum lxor 0x00010000 } in
   match flavor with
   | Header -> flip_header ()
   | Body ->
@@ -115,9 +156,7 @@ let corrupt t flavor =
       | Rotate_marker { next_file } -> Some (Rotate_marker { next_file = next_file ^ "\x00" })
     in
     (match mangled with
-    (* the bit-rotted copy re-serializes its mangled payload (the stored
-       bytes changed); the checksum stays stale, so [verify] fails *)
-    | Some payload -> { t with payload; serialized = serialize payload }
+    | Some payload -> { t with payload }
     | None -> flip_header ())
 
 let describe t =

@@ -1,7 +1,10 @@
 (** A Raft log entry as stored in the binlog: one replicated unit — a
     whole transaction, a leader-assertion no-op, a membership change, or
     a replicated rotate marker.  The checksum is computed when Raft
-    stamps the OpId (§3.4) so later corruption is detectable. *)
+    stamps the OpId (§3.4) so later corruption is detectable.  It is a
+    CRC-32 folded over the structured payload's fields (a tag per
+    constructor, a length before every string), so the entry holds its
+    payload once and no serialized copy beside it. *)
 
 type payload =
   | Transaction of { gtid : Gtid.t; events : Event.t list }
@@ -29,18 +32,12 @@ val index : t -> int
 
 val payload : t -> payload
 
-(** The payload's serialized wire form, computed once at {!make} time and
-    memoized: repeated calls return the same physical string (no
-    re-marshalling).  Callers may share and slice it but must not mutate
-    it. *)
-val payload_bytes : t -> string
-
 (** Approximate wire/disk size in bytes. *)
 val size : t -> int
 
 val checksum : t -> int32
 
-(** Recompute and compare the checksum. *)
+(** Recompute the checksum from the payload's fields and compare. *)
 val verify : t -> bool
 
 val deps : t -> deps option
@@ -52,7 +49,8 @@ val gtid : t -> Gtid.t option
 
 val is_transaction : t -> bool
 
-(** Re-stamp an existing payload with a new OpId. *)
+(** Re-stamp an existing payload with a new OpId; the payload (shared,
+    not copied) and its checksum are kept. *)
 val with_opid : t -> opid:Opid.t -> t
 
 (** Disk-corruption flavours: [Header] flips a bit in the stored checksum

@@ -9,6 +9,10 @@
    last] ranges over that vector, so rotation and purge are pure metadata
    operations, exactly like MySQL's index file manipulation.
 
+   Slots hold entries directly, not [Some] boxes: purged and absent slots
+   (and slot 0) hold the one physical [absent] sentinel, so the store
+   costs one pointer per index and reading a slot never allocates.
+
    Invariants:
    - entry at vector slot i (i >= 1) has Raft index i; slot 0 is a sentinel
    - file ranges partition [purged+1, last_index]
@@ -24,10 +28,16 @@ type file = {
   mutable closed : bool;
 }
 
+(* The sentinel in every purged or absent slot, recognised by physical
+   equality; never handed out. *)
+let absent = Entry.make ~opid:Opid.zero Entry.Noop
+
+let[@inline] present e = e != absent
+
 type t = {
   mutable mode : mode;
   mutable files : file list; (* oldest first; last is the open file *)
-  entries : Entry.t option Vec.t; (* slot per index; None once purged *)
+  entries : Entry.t Vec.t; (* slot per index; [absent] once purged *)
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
   mutable gtids : Gtid_set.t; (* all GTIDs currently present in the log *)
@@ -70,7 +80,7 @@ let create ?metrics ?(mode = Binlog) () =
     {
       mode;
       files = [];
-      entries = Vec.create ~dummy:None;
+      entries = Vec.create ~dummy:absent;
       purged_below = 1;
       next_file_seq = 1;
       gtids = Gtid_set.empty;
@@ -92,7 +102,7 @@ let create ?metrics ?(mode = Binlog) () =
       m_corruption_truncated = Obs.Metrics.counter m "binlog.corruption_truncated";
     }
   in
-  Vec.push t.entries None (* sentinel slot 0 *);
+  Vec.push t.entries absent (* sentinel slot 0 *);
   t.files <- [ fresh_file t ];
   t
 
@@ -102,8 +112,13 @@ let last_index t = Vec.length t.entries - 1
 
 let last_opid t = t.last_cached
 
+(* The slot at [index], [absent] when out of range or purged. *)
+let slot t index =
+  if index <= 0 || index > last_index t then absent else Vec.get t.entries index
+
 let entry_at t index =
-  if index <= 0 || index > last_index t then None else Vec.get t.entries index
+  let e = slot t index in
+  if present e then Some e else None
 
 (* The purge boundary acts like Raft's (last_included_index, term)
    snapshot marker: its term stays answerable so replication whose
@@ -111,11 +126,10 @@ let entry_at t index =
 let term_at t index =
   if index = 0 then Some 0
   else
-    match entry_at t index with
-    | Some e -> Some (Entry.term e)
-    | None ->
-      if index = Opid.index t.purge_boundary then Some (Opid.term t.purge_boundary)
-      else None
+    let e = slot t index in
+    if present e then Some (Entry.term e)
+    else if index = Opid.index t.purge_boundary then Some (Opid.term t.purge_boundary)
+    else None
 
 let current_file t =
   match List.rev t.files with
@@ -131,7 +145,7 @@ let append t entry =
   | Some prev_term when Entry.term entry < prev_term ->
     invalid_arg "Log_store.append: term regression"
   | _ -> ());
-  Vec.push t.entries (Some entry);
+  Vec.push t.entries entry;
   t.last_cached <- Entry.opid entry;
   let f = current_file t in
   if f.first = 0 then f.first <- index;
@@ -154,9 +168,8 @@ let entries_from t ~from_index ~max_count =
   let rec collect idx n acc =
     if n = 0 || idx > last_index t then List.rev acc
     else
-      match Vec.get t.entries idx with
-      | Some e -> collect (idx + 1) (n - 1) (e :: acc)
-      | None -> List.rev acc
+      let e = Vec.get t.entries idx in
+      if present e then collect (idx + 1) (n - 1) (e :: acc) else List.rev acc
   in
   collect (max 1 from_index) max_count []
 
@@ -167,12 +180,11 @@ let truncate_from t ~from_index =
   if from_index > last_index t then []
   else begin
     let removed = Vec.truncate_to t.entries from_index in
-    let removed = List.filter_map (fun e -> e) removed in
+    let removed = List.filter present removed in
     (t.last_cached <-
-       (match Vec.get_opt t.entries (from_index - 1) with
-       | Some (Some e) -> Entry.opid e
-       | Some None -> t.purge_boundary (* tail now ends inside the purged range *)
-       | None -> Opid.zero));
+       let e = Vec.get t.entries (from_index - 1) in
+       if present e then Entry.opid e
+       else t.purge_boundary (* tail now ends inside the purged range *));
     List.iter
       (fun e ->
         match Entry.gtid e with
@@ -219,7 +231,8 @@ let file_list t =
       let size =
         List.fold_left
           (fun acc i ->
-            match Vec.get t.entries i with Some e -> acc + Entry.size e | None -> acc)
+            let e = Vec.get t.entries i in
+            if present e then acc + Entry.size e else acc)
           0 indices
       in
       (f.file_name, size, List.length indices))
@@ -241,11 +254,10 @@ let purge_to t ~file =
   let rec drop = function
     | f :: rest when f.file_name <> file ->
       if f.first > 0 then begin
-        (match Vec.get t.entries f.last with
-        | Some e -> t.purge_boundary <- Entry.opid e
-        | None -> ());
+        let e = Vec.get t.entries f.last in
+        if present e then t.purge_boundary <- Entry.opid e;
         for i = f.first to f.last do
-          Vec.set t.entries i None
+          Vec.set t.entries i absent
         done;
         t.purged_below <- max t.purged_below (f.last + 1)
       end;
@@ -276,7 +288,7 @@ let install_snapshot t ~last ~gtids =
   else if term_at t b = Some (Opid.term last) then begin
     (* retain: purge [purged_below, b] in place *)
     for i = t.purged_below to min b (last_index t) do
-      Vec.set t.entries i None
+      Vec.set t.entries i absent
     done;
     let keep =
       List.filter_map
@@ -303,7 +315,7 @@ let install_snapshot t ~last ~gtids =
       else []
     in
     while last_index t < b do
-      Vec.push t.entries None
+      Vec.push t.entries absent
     done;
     t.purged_below <- b + 1;
     t.purge_boundary <- last;
@@ -390,12 +402,13 @@ let crash_recover_log t =
    any in-flight copy): a later [scan_for_corruption] must find it.
    False when the slot is absent (purged / beyond the tail). *)
 let corrupt_entry t ~index ~flavor =
-  match entry_at t index with
-  | None -> false
-  | Some e ->
-    Vec.set t.entries index (Some (Entry.corrupt e flavor));
+  let e = slot t index in
+  present e
+  && begin
+    Vec.set t.entries index (Entry.corrupt e flavor);
     Obs.Metrics.incr t.m_corruption_injected;
     true
+  end
 
 type corruption_report = {
   cr_first_corrupt : int; (* index the scan truncated from *)
@@ -403,6 +416,14 @@ type corruption_report = {
   cr_detected : int; (* how many dropped entries failed their CRC *)
   cr_pre_truncation_tail : Opid.t; (* log tail before the truncate *)
 }
+
+(* Index of the first stored entry at or after [i] failing its CRC, 0
+   when none does: a loop over the slots that allocates nothing. *)
+let rec first_corrupt t i =
+  if i > last_index t then 0
+  else
+    let e = Vec.get t.entries i in
+    if present e && not (Entry.verify e) then i else first_corrupt t (i + 1)
 
 (* Restart-time CRC sweep (mysqlbinlog-style verification of every event
    against its stored checksum): on the first mismatching entry, truncate
@@ -413,16 +434,9 @@ type corruption_report = {
    log is restored (a quorum that ignores entries this node helped commit
    must not form).  [None] means every stored entry verified. *)
 let scan_for_corruption t =
-  let rec find i =
-    if i > last_index t then None
-    else
-      match Vec.get t.entries i with
-      | Some e when not (Entry.verify e) -> Some i
-      | _ -> find (i + 1)
-  in
-  match find 1 with
-  | None -> None
-  | Some first ->
+  match first_corrupt t 1 with
+  | 0 -> None
+  | first ->
     let tail = last_opid t in
     let dropped = truncate_from t ~from_index:first in
     let detected = List.length (List.filter (fun e -> not (Entry.verify e)) dropped) in
@@ -450,7 +464,7 @@ let switch_mode t new_mode =
   end
 
 let all_entries t =
-  List.filter_map (fun e -> e) (Vec.to_list t.entries)
+  List.filter present (Vec.to_list t.entries)
 
 let describe t =
   Printf.sprintf "%s log: %d files, last=%s, gtids=%s"

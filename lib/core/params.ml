@@ -46,11 +46,11 @@ let default =
     flush_base_us = 150.0;
     (* The marginal per-txn CPU costs dropped with the zero-allocation
        pass (flush 4 -> 2.5, stamp 5 -> 1.5, engine commit 4 -> 3): the
-       payload is marshalled exactly once at entry construction, the
-       flush stage writes those memoized bytes as-is, the OpId-time CRC
-       runs unboxed over them instead of re-serializing, and the engine
-       commit digest streams field-by-field through the same native-int
-       CRC rather than building an intermediate Marshal buffer.  The
+       payload is built exactly once and never re-serialized, the
+       OpId-time CRC streams the payload's fields through an unboxed
+       native-int CRC, and the engine commit digest streams its fields
+       through the same CRC rather than building an intermediate
+       buffer.  The
        fixed fsync costs (flush_base, commit_base) model hardware and
        are unchanged. *)
     flush_per_txn_us = 2.5;

@@ -117,14 +117,13 @@ let sorted_bindings table value =
   Hashtbl.fold (fun name v acc -> (name, value v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let copy_histogram h = Stats.Histogram.merge h (Stats.Histogram.create ())
-
 let snapshot t =
   {
     snap_node = t.node;
     snap_counters = sorted_bindings t.counters (fun c -> c.c_value);
     snap_gauges = sorted_bindings t.gauges (fun g -> g.g_value);
-    snap_histograms = sorted_bindings t.histograms (fun h -> copy_histogram h.h_data);
+    snap_histograms =
+      sorted_bindings t.histograms (fun h -> Stats.Histogram.concat [ h.h_data ]);
   }
 
 let empty_snapshot ?(node = "") () =
@@ -164,9 +163,53 @@ let merge a b =
     snap_histograms = merge_assoc Stats.Histogram.merge a.snap_histograms b.snap_histograms;
   }
 
+(* The left fold of [merge] over [snaps], in one pass: every name's
+   values combine in snapshot order, so sums and sample order match the
+   fold, but each histogram sample is copied once rather than once per
+   snapshot folded after it, and the node label is built in one buffer
+   rather than by repeated concatenation. *)
 let merge_all ?(node = "") snaps =
-  let merged = List.fold_left merge (empty_snapshot ()) snaps in
-  { merged with snap_node = (if node = "" then merged.snap_node else node) }
+  let counters = Hashtbl.create 64 and gauges = Hashtbl.create 64 in
+  let histograms = Hashtbl.create 64 in
+  let combine table ( + ) (name, v) =
+    Hashtbl.replace table name
+      (match Hashtbl.find_opt table name with Some acc -> acc + v | None -> v)
+  in
+  List.iter
+    (fun s ->
+      List.iter (combine counters ( + )) s.snap_counters;
+      List.iter (combine gauges ( +. )) s.snap_gauges;
+      List.iter
+        (fun (name, h) ->
+          let earlier = Option.value (Hashtbl.find_opt histograms name) ~default:[] in
+          Hashtbl.replace histograms name (h :: earlier))
+        s.snap_histograms)
+    snaps;
+  let node =
+    if node <> "" then node
+    else begin
+      (* [merge]'s label rule: skip empty names and a name equal to the
+         label so far, otherwise join with '+' *)
+      let buf = Buffer.create 64 in
+      List.iter
+        (fun s ->
+          let n = s.snap_node in
+          let repeat = Buffer.length buf = String.length n && Buffer.contents buf = n in
+          if n <> "" && not repeat then begin
+            if Buffer.length buf > 0 then Buffer.add_char buf '+';
+            Buffer.add_string buf n
+          end)
+        snaps;
+      Buffer.contents buf
+    end
+  in
+  {
+    snap_node = node;
+    snap_counters = sorted_bindings counters Fun.id;
+    snap_gauges = sorted_bindings gauges Fun.id;
+    snap_histograms =
+      sorted_bindings histograms (fun hs -> Stats.Histogram.concat (List.rev hs));
+  }
 
 (* ----- rendering ----- *)
 

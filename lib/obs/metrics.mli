@@ -77,6 +77,9 @@ val empty_snapshot : ?node:string -> unit -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 
+(** The left fold of {!merge} over the list (same sums, same histogram
+    samples in the same order), computed in one pass that copies each
+    sample once.  [node] overrides the merged label. *)
 val merge_all : ?node:string -> snapshot list -> snapshot
 
 (** Counter value by name; 0 when absent. *)

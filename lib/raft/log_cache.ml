@@ -19,7 +19,7 @@
    internal scratch buffer and returns a right-sized array — one
    allocation per AppendEntries batch, no list cells, no [List.rev] — and
    [read] wraps it for callers that want a list.  Returned slices hold
-   the entries themselves (immutable, their serialized bytes memoized),
+   the entries themselves (immutable, shared with the log, never copied),
    so they stay valid however the cache evicts afterwards. *)
 
 type t = {

@@ -73,15 +73,25 @@ let stddev t =
     sqrt (!sum /. float_of_int (t.size - 1))
   end
 
-let merge a b =
-  let t = create () in
-  for i = 0 to a.size - 1 do
-    record t a.data.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    record t b.data.(i)
-  done;
-  t
+(* One presized blit per input, samples in input order: merging [n]
+   histograms this way copies each sample once, where a pairwise fold of
+   [merge] copies everything accumulated so far again at every step. *)
+let concat ts =
+  let size = List.fold_left (fun acc t -> acc + t.size) 0 ts in
+  if size = 0 then create ()
+  else begin
+    let data = Array.make size 0.0 in
+    let _ : int =
+      List.fold_left
+        (fun pos t ->
+          Array.blit t.data 0 data pos t.size;
+          pos + t.size)
+        0 ts
+    in
+    { data; size; sorted = false }
+  end
+
+let merge a b = concat [ a; b ]
 
 let iter t f =
   for i = 0 to t.size - 1 do

@@ -25,6 +25,11 @@ val stddev : t -> float
 
 val merge : t -> t -> t
 
+(** All samples of the inputs in one fresh histogram, in input order
+    (the same samples and order as a left fold of {!merge}), copied once
+    into a presized array. *)
+val concat : t list -> t
+
 val iter : t -> (float -> unit) -> unit
 
 (** [n] log-spaced buckets between min and max as (lo, hi, count) rows. *)

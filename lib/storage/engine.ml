@@ -36,8 +36,10 @@ type t = {
   (* Cumulative digest chain: slot i-1 holds the digest of the first i
      commits, in commit order.  Lets consistency checks compare a lagging
      replica's whole history against the same-length prefix of a
-     reference replica (§5.1 checksum comparisons). *)
-  commit_digests : int32 Vec.t;
+     reference replica (§5.1 checksum comparisons).  Each CRC-32 is kept
+     as an immediate int (it fits in 32 bits), not a boxed [int32]; it is
+     converted only where it leaves the engine. *)
+  commit_digests : int Vec.t;
   commit_log : (Binlog.Gtid.t * Binlog.Opid.t) Vec.t; (* commit order *)
   mutable commit_listeners : (Binlog.Gtid.t -> Binlog.Opid.t -> unit) list;
   (* fired (in subscription order) after each commit_prepared has fully
@@ -54,7 +56,7 @@ let create () =
     last_committed_opid = Binlog.Opid.zero;
     committed_count = 0;
     rolled_back_count = 0;
-    commit_digests = Vec.create ~dummy:0l;
+    commit_digests = Vec.create ~dummy:0;
     commit_log = Vec.create ~dummy:(Binlog.Gtid.make ~source:"none" ~gno:1, Binlog.Opid.zero);
     commit_listeners = [];
   }
@@ -98,10 +100,11 @@ let release_locks t p = List.iter (fun k -> Hashtbl.remove t.locks k) p.locked_k
    fields through the CRC allocates nothing; the old form marshalled the
    triple into a throwaway string and concatenated it on every commit on
    every node.  The digest is deterministic across replicas because the
-   folded fields are exactly the replicated transaction identity. *)
+   folded fields are exactly the replicated transaction identity.  [prev]
+   and the result are the CRC's 32 bits as a non-negative int. *)
 let commit_digest ~prev ~gtid ~opid writes =
   let open Binlog.Checksum in
-  let st = feed_int32 init prev in
+  let st = feed_int init prev in
   let st = feed_string st (Binlog.Gtid.source gtid) in
   let st = feed_int st (Binlog.Gtid.gno gtid) in
   let st = feed_int st (Binlog.Opid.term opid) in
@@ -140,7 +143,8 @@ let commit_prepared t ~gtid ~opid =
     if Binlog.Opid.compare opid t.last_committed_opid > 0 then
       t.last_committed_opid <- opid;
     t.committed_count <- t.committed_count + 1;
-    let prev = match Vec.last_opt t.commit_digests with Some d -> d | None -> 0l in
+    let n = Vec.length t.commit_digests in
+    let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
     Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
     Vec.push t.commit_log (gtid, opid);
     List.iter (fun f -> f gtid opid) t.commit_listeners
@@ -197,7 +201,7 @@ let checksum_at t ~count =
   if count < 0 || count > t.committed_count then
     invalid_arg
       (Printf.sprintf "Engine.checksum_at: count %d outside [0, %d]" count t.committed_count);
-  if count = 0 then 0l else Vec.get t.commit_digests (count - 1)
+  if count = 0 then 0l else Int32.of_int (Vec.get t.commit_digests (count - 1))
 
 (* The [n]th committed transaction (0-based, commit order). *)
 let nth_commit t n = Vec.get_opt t.commit_log n
@@ -233,7 +237,7 @@ let checkpoint t =
     ck_gtid_executed = t.gtid_executed;
     ck_last_committed_opid = t.last_committed_opid;
     ck_committed_count = t.committed_count;
-    ck_digests = Vec.to_list t.commit_digests;
+    ck_digests = List.map Int32.of_int (Vec.to_list t.commit_digests);
     ck_commit_log = Vec.to_list t.commit_log;
   }
 
@@ -255,7 +259,9 @@ let restore t ck =
   t.last_committed_opid <- ck.ck_last_committed_opid;
   t.committed_count <- ck.ck_committed_count;
   ignore (Vec.truncate_to t.commit_digests 0);
-  List.iter (Vec.push t.commit_digests) ck.ck_digests;
+  List.iter
+    (fun d -> Vec.push t.commit_digests (Int32.to_int d land 0xFFFF_FFFF))
+    ck.ck_digests;
   ignore (Vec.truncate_to t.commit_log 0);
   List.iter (Vec.push t.commit_log) ck.ck_commit_log
 

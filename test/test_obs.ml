@@ -54,6 +54,76 @@ let test_snapshot_merge () =
   Alcotest.(check string) "merge_all node label" "all" all.Obs.Metrics.snap_node;
   Alcotest.(check int) "merge_all sums" 5 (Obs.Metrics.counter_of all "x")
 
+(* [merge_all] against the pairwise fold of [merge] it replaced (kept
+   here as the oracle): same label, counters, gauges (same summation
+   order, so bit-equal), and per histogram the same count, the same
+   samples in iteration order — the inputs' samples concatenated in
+   snapshot order — and the same percentiles and mean. *)
+let prop_merge_all_equals_pairwise_fold =
+  let snap_gen =
+    QCheck.Gen.(
+      let name pool = oneofl pool in
+      let* node = oneofl [ ""; "a"; "b"; "a+b" ] in
+      let* counters = list_size (0 -- 3) (pair (name [ "c1"; "c2"; "c3" ]) (0 -- 100)) in
+      let* gauges =
+        list_size (0 -- 3) (pair (name [ "g1"; "g2" ]) (float_range (-5.0) 5.0))
+      in
+      let* hists =
+        list_size (0 -- 3)
+          (pair (name [ "h1"; "h2"; "h3" ]) (list_size (0 -- 40) (float_range 0.0 1e4)))
+      in
+      return (node, counters, gauges, hists))
+  in
+  let arb = QCheck.make QCheck.Gen.(list_size (0 -- 7) snap_gen) in
+  QCheck.Test.make ~name:"merge_all equals the pairwise merge fold" ~count:300 arb
+    (fun specs ->
+      let snaps =
+        List.map
+          (fun (node, counters, gauges, hists) ->
+            let m = Obs.Metrics.create ~node () in
+            List.iter (fun (n, v) -> Obs.Metrics.bump ~by:v m n) counters;
+            List.iter (fun (n, v) -> Obs.Metrics.set m n v) gauges;
+            List.iter (fun (n, vs) -> List.iter (Obs.Metrics.observe m n) vs) hists;
+            Obs.Metrics.snapshot m)
+          specs
+      in
+      let samples h =
+        let acc = ref [] in
+        Stats.Histogram.iter h (fun v -> acc := v :: !acc);
+        List.rev !acc
+      in
+      let expected_samples name =
+        List.concat_map
+          (fun s ->
+            match Obs.Metrics.histogram_of s name with Some h -> samples h | None -> [])
+          snaps
+      in
+      let got = Obs.Metrics.merge_all snaps in
+      let oracle =
+        List.fold_left Obs.Metrics.merge (Obs.Metrics.empty_snapshot ()) snaps
+      in
+      let hist_names s = List.map fst s.Obs.Metrics.snap_histograms in
+      got.Obs.Metrics.snap_node = oracle.Obs.Metrics.snap_node
+      && got.snap_counters = oracle.snap_counters
+      && List.equal
+           (fun (a, x) (b, y) ->
+             a = b && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           got.snap_gauges oracle.snap_gauges
+      && hist_names got = hist_names oracle
+      && List.for_all2
+           (fun (name, g) (_, o) ->
+             let gs = samples g in
+             Stats.Histogram.count g = Stats.Histogram.count o
+             && gs = samples o
+             && gs = expected_samples name
+             && List.for_all
+                  (fun p ->
+                    Stats.Histogram.percentile g p = Stats.Histogram.percentile o p)
+                  [ 0.0; 50.0; 90.0; 99.0; 100.0 ]
+             && Stats.Histogram.mean g = Stats.Histogram.mean o)
+           got.snap_histograms oracle.snap_histograms
+      && (Obs.Metrics.merge_all ~node:"all" snaps).snap_node = "all")
+
 let test_render_and_json () =
   let m = Obs.Metrics.create ~node:"n" () in
   Obs.Metrics.bump ~by:7 m "writes";
@@ -175,6 +245,7 @@ let suites =
         Alcotest.test_case "counters, gauges, histograms" `Quick
           test_counters_gauges_histograms;
         Alcotest.test_case "snapshot merge" `Quick test_snapshot_merge;
+        QCheck_alcotest.to_alcotest prop_merge_all_equals_pairwise_fold;
         Alcotest.test_case "render + json" `Quick test_render_and_json;
       ] );
     ( "obs.trace",
