@@ -78,6 +78,22 @@ let () =
          | None -> false));
   Myraft.Cluster.run_for cluster (5.0 *. s);
   Printf.printf "\nfinal ring:\n%s\n" (Myraft.Cluster.describe cluster);
-  match Workload.Failure_injection.consistency_check cluster with
-  | Ok n -> Printf.printf "\nconsistency check: all engines identical at %d txns\n" n
-  | Error e -> Printf.printf "\nconsistency check FAILED: %s\n" e
+  let checker =
+    Chaos.Invariants.create
+      ~now:(fun () -> Myraft.Cluster.now cluster)
+      ~probes:(Chaos.Nemesis.probes_of_cluster cluster) ()
+  in
+  Chaos.Invariants.check checker;
+  Chaos.Invariants.check_converged checker;
+  match Chaos.Invariants.violations checker with
+  | [] ->
+    Printf.printf "\nconsistency check: all engines identical at %d txns\n"
+      (Storage.Engine.committed_count
+         (Myraft.Server.storage (Option.get (Myraft.Cluster.primary cluster))))
+  | vs ->
+    List.iter
+      (fun v ->
+        Printf.printf "\nconsistency check FAILED: %s\n"
+          (Chaos.Invariants.violation_to_string v))
+      vs;
+    exit 1

@@ -56,14 +56,3 @@ let size t =
     | Rotate { next_file } -> 8 + String.length next_file
   in
   header + body_size
-
-let describe t =
-  match t.body with
-  | Format_description -> "FORMAT_DESCRIPTION"
-  | Previous_gtids set -> "PREVIOUS_GTIDS(" ^ Gtid_set.to_string set ^ ")"
-  | Gtid_event g -> "GTID(" ^ Gtid.to_string g ^ ")"
-  | Table_map { table } -> "TABLE_MAP(" ^ table ^ ")"
-  | Write_rows { table; ops } -> Printf.sprintf "WRITE_ROWS(%s,%d ops)" table (List.length ops)
-  | Query { sql } -> "QUERY(" ^ sql ^ ")"
-  | Xid { xid } -> Printf.sprintf "XID(%Ld)" xid
-  | Rotate { next_file } -> "ROTATE(" ^ next_file ^ ")"

@@ -32,5 +32,3 @@ val row_op_size : row_op -> int
 (** Approximate on-disk size in bytes (19-byte common header + body),
     close enough to the real binlog format for bandwidth accounting. *)
 val size : t -> int
-
-val describe : t -> string

@@ -14,13 +14,6 @@ let source t = t.source
 
 let gno t = t.gno
 
-let compare a b =
-  match String.compare a.source b.source with 0 -> Int.compare a.gno b.gno | c -> c
-
 let equal a b = a.source = b.source && a.gno = b.gno
 
 let to_string t = Printf.sprintf "%s:%d" t.source t.gno
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let hash t = Hashtbl.hash (t.source, t.gno)

@@ -10,13 +10,7 @@ val source : t -> string
 
 val gno : t -> int
 
-val compare : t -> t -> int
-
 val equal : t -> t -> bool
 
 (** "source:gno" *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-
-val hash : t -> int

@@ -109,19 +109,6 @@ let max_gno t ~source =
 
 let sources t = List.map fst (Source_map.bindings t)
 
-let fold_gtids t ~init f =
-  Source_map.fold
-    (fun source intervals acc ->
-      List.fold_left
-        (fun acc iv ->
-          let acc = ref acc in
-          for g = iv.lo to iv.hi do
-            acc := f !acc (Gtid.make ~source ~gno:g)
-          done;
-          !acc)
-        acc intervals)
-    t init
-
 let to_string t =
   if is_empty t then "<empty>"
   else
@@ -136,5 +123,3 @@ let to_string t =
            in
            source ^ ":" ^ String.concat ":" ivs)
     |> String.concat ","
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -10,8 +10,6 @@ type t
 
 val empty : t
 
-val is_empty : t -> bool
-
 (** Add a closed gno interval.  Requires [1 <= lo <= hi]. *)
 val add_interval : t -> source:string -> lo:int -> hi:int -> t
 
@@ -36,9 +34,5 @@ val max_gno : t -> source:string -> int
 
 val sources : t -> string list
 
-val fold_gtids : t -> init:'a -> ('a -> Gtid.t -> 'a) -> 'a
-
 (** MySQL-style rendering, e.g. "srv1:1-5:7,srv2:3". *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

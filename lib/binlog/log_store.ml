@@ -106,8 +106,6 @@ let create ?metrics ?(mode = Binlog) () =
   t.files <- [ fresh_file t ];
   t
 
-let mode t = t.mode
-
 let last_index t = Vec.length t.entries - 1
 
 let last_opid t = t.last_cached
@@ -327,8 +325,6 @@ let install_snapshot t ~last ~gtids =
   end
 
 let gtid_set t = t.gtids
-
-let fsync_count t = t.fsyncs
 
 (* ----- durability / crash-recovery fault model ----- *)
 

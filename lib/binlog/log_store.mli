@@ -17,8 +17,6 @@ type t
     [binlog.fsync_batch_entries] histogram. *)
 val create : ?metrics:Obs.Metrics.t -> ?mode:mode -> unit -> t
 
-val mode : t -> mode
-
 val last_index : t -> int
 
 (** [Opid.zero] when empty. *)
@@ -77,8 +75,6 @@ val install_snapshot : t -> last:Opid.t -> gtids:Gtid_set.t -> Entry.t list
 (** All GTIDs currently present in the log. *)
 val gtid_set : t -> Gtid_set.t
 
-val fsync_count : t -> int
-
 (** {2 Durability / crash-recovery fault model}
 
     Normally every append fsyncs (sync_binlog=1) and {!synced_index}
@@ -91,9 +87,6 @@ val fsync_count : t -> int
 val synced_index : t -> int
 
 val unsynced_count : t -> int
-
-(** Flush the buffered tail (one batched fsync). *)
-val sync : t -> unit
 
 (** Enter/leave the fsync-stall fault; leaving flushes. *)
 val set_buffered : t -> bool -> unit

@@ -23,5 +23,3 @@ let equal a b = a.term = b.term && a.index = b.index
 let at_least_as_up_to_date_as a b = compare a b >= 0
 
 let to_string t = Printf.sprintf "%d.%d" t.term t.index
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -23,5 +23,3 @@ val at_least_as_up_to_date_as : t -> t -> bool
 
 (** "term.index" *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -51,8 +51,6 @@ let key = "register"
 
 let stats t = t.stats
 
-let floor_value t = t.floor
-
 let stop t = t.running <- false
 
 let encode v = Printf.sprintf "%012d" v
@@ -198,10 +196,3 @@ let start ?(region = "r1") ?(write_gap = 15.0 *. Sim.Engine.ms)
         read_loop t ~level:Read.Level.Eventual)
   done;
   t
-
-let summary t =
-  let s = t.stats in
-  Printf.sprintf
-    "linreg: %d writes acked (floor %d) · lin %d/%d ok, %d rejected, %d violations · eventual %d/%d ok, %d stale"
-    s.writes_acked t.floor s.lin_ok s.lin_issued s.lin_rejected s.lin_violations s.ev_ok
-    s.ev_issued s.ev_stale

@@ -42,8 +42,3 @@ val start :
 val stop : t -> unit
 
 val stats : t -> stats
-
-(** Largest acknowledged value (the current linearized register value). *)
-val floor_value : t -> int
-
-val summary : t -> string

@@ -53,12 +53,7 @@ val heal_now : t -> unit
     [chaos.injected.<kind>] counter per fault kind). *)
 val metrics_snapshot : t -> Obs.Metrics.snapshot
 
-(** Outstanding (un-healed) faults. *)
-val active : t -> int
-
 val total_injections : t -> int
-
-val injections : t -> (Schedule.fault_kind * int) list
 
 (** {2 Adapters for a full MyRaft cluster} *)
 
@@ -98,9 +93,6 @@ val chaos_members : unit -> Myraft.Cluster.member_spec list
 
 val quorum_name : Raft.Quorum.mode -> string
 
-(** The one-line command that replays a report's run. *)
-val repro_command : report -> string
-
 (** Run a seeded chaos schedule against a full MyRaft cluster under an
     open-loop workload plus the {!Linreg} linearizable-register read
     checker, checking invariants continuously; then heal everything, let
@@ -131,12 +123,6 @@ val run :
 val report_summary : report -> string
 
 (** {2 Multi-Raft (sharded) chaos} *)
-
-(** Physical control surface over a multi-Raft deployment: crash,
-    restart, isolation and clock faults hit a node's instance of every
-    group at once (one process); leader-aimed and disk fault families
-    target group 0 as the representative shard. *)
-val ops_of_multi : Shard.Multi.t -> ops
 
 (** The sharded counterpart of {!run}: the same fault schedule against
     [shards] Raft groups multiplexed on the chaos ring behind the

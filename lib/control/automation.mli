@@ -1,17 +1,6 @@
-(** Membership automation (§2.2) and the §A.1 binlog janitor.
-
-    "Membership changes are always initiated by automation": detect a
-    member that needs replacing, allocate and prepare a new one, and
-    drive the change on the leader one safe step at a time —
-    add-as-learner, catch up (snapshot-fed if necessary), promote to the
-    corpse's voter grade, then evict the corpse, so redundancy never
-    dips below the starting point mid-swap. *)
-
-type replacement_report = {
-  removed : string;
-  added : string;
-  duration_us : float;
-}
+(** The §A.1 binlog janitor.  Membership automation (§2.2) lives in
+    [Reconfig.Healer], which executes [Reconfig.Planner] targets such as
+    [Planner.replace]. *)
 
 (** {2 Binlog rotation/purge janitor (§A.1)} *)
 
@@ -27,17 +16,3 @@ val stop_janitor : janitor -> unit
 val rotations : janitor -> int
 
 val purges : janitor -> int
-
-(** {2 Member replacement} *)
-
-(** Replace [dead] with a freshly allocated member of the same kind and
-    region, redundancy-first: the newcomer joins as a learner, catches
-    up, is promoted to the corpse's voter grade, and only then is the
-    corpse removed.  Pass [backup] to seed the newcomer when the history
-    it needs has been purged from the ring. *)
-val replace_member :
-  ?backup:Downstream.Backup.t ->
-  Myraft.Cluster.t ->
-  dead:string ->
-  replacement_id:string ->
-  (replacement_report, string) result

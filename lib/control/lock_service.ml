@@ -10,8 +10,6 @@ type t = {
 let create ?(acquire_delay = 50.0 *. Sim.Engine.ms) engine =
   { engine; holders = Hashtbl.create 4; acquire_delay }
 
-let holder t ~name = Hashtbl.find_opt t.holders name
-
 (* Attempt to take the lock; calls [k] with the outcome after the
    acquisition round trip. *)
 let acquire t ~name ~owner k =

@@ -5,8 +5,6 @@ type t
 
 val create : ?acquire_delay:float -> Sim.Engine.t -> t
 
-val holder : t -> name:string -> string option
-
 (** Attempt the lock; [k] receives the outcome after the acquisition
     round trip.  Re-entrant for the same owner. *)
 val acquire : t -> name:string -> owner:string -> ((unit, string) result -> unit) -> unit

@@ -16,6 +16,4 @@ type report = {
   duration_us : float;
 }
 
-val find_longest_log : Myraft.Cluster.t -> (string * Binlog.Opid.t * int) option
-
 val run : ?force:bool -> ?timeout:float -> Myraft.Cluster.t -> (report, string) result

@@ -150,8 +150,6 @@ let recount t =
       t.submitting <- t.submitting + s)
     t.inflight
 
-let queue_length t = Queue.length t.queue
-
 let update_gauges t =
   Obs.Metrics.set_gauge t.m_queue_depth (float_of_int (Queue.length t.queue));
   Obs.Metrics.set_gauge t.m_workers_busy (float_of_int (busy_workers t))

@@ -20,8 +20,6 @@ type t = {
 
 let successes t = Sim.Probe.successes t.probe
 
-let failures t = Sim.Probe.failures t.probe
-
 let stop t = Sim.Probe.stop t.probe
 
 let max_downtime t = Sim.Probe.max_downtime t.probe

@@ -17,7 +17,5 @@ val stop : t -> unit
 
 val successes : t -> int
 
-val failures : t -> int
-
 (** Largest success gap in the window, microseconds. *)
 val max_downtime : t -> start_time:float -> end_time:float -> float

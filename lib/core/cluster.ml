@@ -80,8 +80,6 @@ let network t =
 
 let transport t = t.transport
 
-let group t = t.group
-
 let trace t = t.trace
 
 let tracebuf t = t.tracebuf
@@ -89,8 +87,6 @@ let tracebuf t = t.tracebuf
 let discovery t = t.discovery
 
 let replicaset_name t = t.replicaset
-
-let initial_config t = t.initial_config
 
 let params t = t.params
 

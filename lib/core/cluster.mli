@@ -74,9 +74,6 @@ val network : t -> Wire.t Sim.Network.t
 
 val transport : t -> transport
 
-(** Multi-Raft group tag (0 for a standalone cluster). *)
-val group : t -> int
-
 val trace : t -> Sim.Trace.t
 
 (** The OpId-correlated trace ring shared by every node in the cluster:
@@ -94,8 +91,6 @@ val metrics_snapshot : t -> Obs.Metrics.snapshot
 val discovery : t -> Service_discovery.t
 
 val replicaset_name : t -> string
-
-val initial_config : t -> Raft.Types.config
 
 val params : t -> Params.t
 

@@ -82,10 +82,6 @@ let flush_binary_logs server =
   | Ok () -> Ok_affected "rotate event submitted for consensus commit"
   | Error e -> Disallowed e
 
-let purge_binary_logs server =
-  let purged = Server.purge_binary_logs server in
-  Ok_affected (Printf.sprintf "%d file(s) purged (Raft region watermarks consulted)" purged)
-
 (* Replication topology is the Raft ring's business now. *)
 let change_master_to _server =
   Disallowed "CHANGE MASTER TO is disallowed: replication topology is managed by Raft"

@@ -18,8 +18,6 @@ val show_replica_status : Server.t -> result
 
 val flush_binary_logs : Server.t -> result
 
-val purge_binary_logs : Server.t -> result
-
 val change_master_to : Server.t -> result
 
 val reset_master : Server.t -> result

@@ -78,7 +78,6 @@ type t = {
   wait_queue : group Queue.t;
   commit_queue : group Queue.t;
   mutable committing : bool;
-  mutable commit_deadline_armed : bool;
   mutable commit_watermark : int; (* raft commit index *)
   mutable aborted : bool;
   (* Runs the whole flush group's appends as one unit; the embedder
@@ -103,7 +102,6 @@ let create ?metrics ~engine ~params ~is_primary_path () =
     wait_queue = Queue.create ();
     commit_queue = Queue.create ();
     committing = false;
-    commit_deadline_armed = false;
     commit_watermark = 0;
     aborted = false;
     coalesce = (fun f -> f ());
@@ -143,8 +141,6 @@ let accum_clear a =
   a.len <- 0
 
 let set_coalesce t f = t.coalesce <- f
-
-let committed_txns t = t.committed_txns
 
 let groups_formed t = t.groups_formed
 
@@ -202,19 +198,6 @@ let rec start_commit_cycle t =
            start_commit_cycle t))
   end
 
-(* With a positive deadline an idle commit stage waits that long before
-   its first fsync so more released groups can pile in. *)
-and arm_commit t =
-  if t.params.Params.group_commit_deadline_us <= 0.0 then start_commit_cycle t
-  else if (not t.committing) && not t.commit_deadline_armed then begin
-    t.commit_deadline_armed <- true;
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:t.params.Params.group_commit_deadline_us
-         (fun () ->
-           t.commit_deadline_armed <- false;
-           start_commit_cycle t))
-  end
-
 (* Move consensus-committed groups from the wait stage to the commit
    stage, preserving order. *)
 let drain_wait t =
@@ -227,7 +210,7 @@ let drain_wait t =
       Obs.Metrics.record t.meters.m_consensus_wait (now -. group.flushed_at);
       Queue.push group t.commit_queue;
       drain ()
-    | _ -> arm_commit t
+    | _ -> start_commit_cycle t
   in
   drain ()
 
@@ -343,5 +326,4 @@ let reset t =
   t.aborted <- false;
   t.flushing <- false;
   t.committing <- false;
-  t.commit_deadline_armed <- false;
   t.commit_watermark <- 0

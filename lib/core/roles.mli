@@ -11,8 +11,6 @@ type row = {
   serves_writes : string;
 }
 
-val rows : row list
-
 (** The Table-1 role a running member maps to. *)
 val classify : Raft.Types.member -> is_leader:bool -> string
 

@@ -111,13 +111,7 @@ let log t = t.log
 
 let pipeline t = t.pipeline
 
-let promotions t = t.promotions
-
 let demotions t = t.demotions
-
-let writes_committed t = t.writes_committed
-
-let writes_rejected t = t.writes_rejected
 
 let truncated_gtids t = List.rev t.truncated_gtids
 

@@ -111,12 +111,6 @@ val flush_binary_logs : t -> (unit, string) result
     files were purged. *)
 val purge_binary_logs : t -> int
 
-(** Engine-checkpoint snapshot at the applied-through watermark (the
-    source a wedged peer's InstallSnapshot rescue ships); [None] when no
-    consistent boundary exists yet.  Also wired into the Raft node's
-    [take_snapshot] callback. *)
-val take_snapshot : t -> Raft.Snapshot.t option
-
 (** {2 Lifecycle} *)
 
 (** Process/host crash: volatile state is lost; the engine rolls back
@@ -135,13 +129,7 @@ val handle_message : t -> src:string -> Wire.t -> unit
 
 (** {2 Counters} *)
 
-val promotions : t -> int
-
 val demotions : t -> int
-
-val writes_committed : t -> int
-
-val writes_rejected : t -> int
 
 (** The registry all of this server's components record into. *)
 val metrics : t -> Obs.Metrics.t

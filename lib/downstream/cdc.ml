@@ -34,8 +34,6 @@ let record_count t = List.length t.streamed
 
 let seen_gtids t = t.seen
 
-let duplicates_skipped t = t.duplicates_skipped
-
 let reattachments t = t.reattachments
 
 let source t = t.source

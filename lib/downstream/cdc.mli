@@ -28,8 +28,6 @@ val record_count : t -> int
 
 val seen_gtids : t -> Binlog.Gtid_set.t
 
-val duplicates_skipped : t -> int
-
 val reattachments : t -> int
 
 val source : t -> string

@@ -34,8 +34,6 @@ let create ?(node = "") () =
     histograms = Hashtbl.create 16;
   }
 
-let node t = t.node
-
 (* ----- counters ----- *)
 
 let counter t name =

@@ -15,9 +15,6 @@ type histogram
 
 val create : ?node:string -> unit -> t
 
-(** The node label stamped on snapshots ("" for anonymous registries). *)
-val node : t -> string
-
 (** {2 Counters} *)
 
 (** Get-or-create by name. *)

@@ -43,14 +43,10 @@ val dropped : t -> int
 (** Retained events, oldest first. *)
 val events : t -> event list
 
-val filter : t -> (event -> bool) -> event list
-
 (** One transaction's retained events across stages and nodes. *)
 val for_opid : t -> term:int -> index:int -> event list
 
 val for_stage : t -> stage:string -> event list
-
-val event_to_string : event -> string
 
 (** Newest [last] retained events as text, oldest first. *)
 val render : ?last:int -> t -> string

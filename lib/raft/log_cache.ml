@@ -193,6 +193,4 @@ let read t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
 
 let disk_reads t = t.disk_reads
 
-let hits t = t.hits
-
 let cached_bytes t = t.bytes

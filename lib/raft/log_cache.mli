@@ -41,6 +41,4 @@ val contains : t -> index:int -> bool
 
 val disk_reads : t -> int
 
-val hits : t -> int
-
 val cached_bytes : t -> int

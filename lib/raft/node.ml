@@ -122,7 +122,6 @@ type params = {
      replication-pipeline distance is fine, an unhealthy logtailer is not. *)
   mock_lag_allowance : int;
   transfer_timeout : float;
-  use_pre_elections : bool;
   use_mock_elections : bool;
   (* kuduraft does NOT implement automatic step down (§4.1): an isolated
      leader keeps the role (and its uncommittable tail grows) until it
@@ -157,7 +156,7 @@ type params = {
      in flight per transfer). *)
   snapshot_rate_bytes_per_s : float;
   (* Pacing for the chunk stream, so a bulk install cannot starve the
-     entry-AE pipeline to the healthy peers.  0 disables pacing. *)
+     entry-AE pipeline to the healthy peers. *)
   snapshot_retransmit_timeout : float;
   (* Resend the unacked chunk from the last acked offset after this
      long; what lets a transfer survive a lost chunk or ack. *)
@@ -188,7 +187,6 @@ let default_params =
     mock_election_timeout = 300.0 *. Sim.Engine.ms;
     mock_lag_allowance = 2_000;
     transfer_timeout = 3.0 *. Sim.Engine.s;
-    use_pre_elections = true;
     use_mock_elections = true;
     auto_step_down_after = 0.0;
     cache_bytes = 4 * 1024 * 1024;
@@ -558,10 +556,6 @@ type t = {
 
 let id t = t.id
 
-let region t = t.region
-
-let group t = t.group
-
 let role t = t.role
 
 let is_leader t = t.role = Types.Leader
@@ -581,12 +575,6 @@ let config t = t.cfg
 let config_id t = t.cfg_id
 
 let quorum_mode t = t.params.quorum_mode
-
-let elections_started t = t.elections_started
-
-let times_elected t = t.times_elected
-
-let cache t = t.cache
 
 let metrics t = t.metrics
 
@@ -653,8 +641,7 @@ let rec reset_election_timer t =
 
 and on_election_timeout t =
   if (not t.stopped) && t.role <> Types.Leader && is_voter t then begin
-    if t.params.use_pre_elections then begin_election t ~phase:Message.Pre
-    else begin_election t ~phase:Message.Real;
+    begin_election t ~phase:Message.Pre;
     reset_election_timer t
   end
 
@@ -2197,10 +2184,8 @@ and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
             (* Pace the stream so a bulk install cannot monopolize the
                link the entry-AE pipeline shares. *)
             let delay =
-              if t.params.snapshot_rate_bytes_per_s <= 0.0 then 1.0
-              else
-                float_of_int t.params.snapshot_chunk_bytes
-                /. t.params.snapshot_rate_bytes_per_s *. Sim.Engine.s
+              float_of_int t.params.snapshot_chunk_bytes
+              /. t.params.snapshot_rate_bytes_per_s *. Sim.Engine.s
             in
             cancel_snap_timer xfer;
             xfer.sx_timer <-
@@ -2595,11 +2580,6 @@ let safe_purge_index t =
 let match_index_of t ~peer =
   match Hashtbl.find_opt t.peers peer with Some p -> Some p.match_index | None -> None
 
-let window_of t ~peer =
-  match Hashtbl.find_opt t.peers peer with
-  | Some p -> Some (List.length p.inflight)
-  | None -> None
-
 let snapshot_in_flight t ~peer =
   match Hashtbl.find_opt t.peers peer with
   | Some p -> p.snap <> None
@@ -2650,8 +2630,6 @@ let lease_valid t = lease_valid t
 
 let lease_until t = t.lease_until
 
-let lease_until_global t = t.lease_until_global
-
 let lease_blocked t = t.lease_blocked
 
 (* Stale-lease oracle readout: lease fast-path serves issued after the
@@ -2674,8 +2652,6 @@ let set_vote_floor t opid =
 
 let staleness_anchor t =
   if t.role = Types.Leader then (Sim.Clock.now t.clock, t.commit_index) else t.freshness
-
-let committed_in_current_term t = committed_in_current_term t
 
 (* ----- proxy forwarding (§4.2) ----- *)
 
@@ -2872,8 +2848,6 @@ let stop t =
       Sim.Engine.cancel timer;
       k (Error "node stopped"))
     remote
-
-let is_stopped t = t.stopped
 
 (* ----- shard-mux transport liveness (multi-Raft) ----- *)
 

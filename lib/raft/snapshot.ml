@@ -56,8 +56,6 @@ let size t = String.length t.data
 let verify_data meta data =
   String.length data = meta.total_bytes && Binlog.Checksum.string data = meta.checksum
 
-let verify t = verify_data t.meta t.data
-
 (* The chunk starting at [offset], at most [max_bytes] long. *)
 let chunk t ~offset ~max_bytes =
   if offset < 0 || offset > size t then invalid_arg "Snapshot.chunk: offset out of range";

@@ -45,8 +45,6 @@ val size : t -> int
 (** End-to-end integrity of a (possibly chunk-reassembled) payload. *)
 val verify_data : meta -> string -> bool
 
-val verify : t -> bool
-
 (** The chunk starting at [offset], at most [max_bytes] long.  Raises
     [Invalid_argument] when [offset] is outside the payload. *)
 val chunk : t -> offset:int -> max_bytes:int -> string

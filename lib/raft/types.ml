@@ -22,12 +22,6 @@ type member = {
   kind : member_kind;
 }
 
-(* A witness is a voter with no storage engine; a learner is a non-voting
-   MySQL replica. *)
-let is_witness m = m.kind = Logtailer
-
-let is_learner m = (not m.voter) && m.kind = Mysql_server
-
 type config = { members : member list }
 
 let config_members c = c.members
@@ -39,8 +33,6 @@ let is_member c id = Option.is_some (find_member c id)
 let voters c = List.filter (fun m -> m.voter) c.members
 
 let voter_ids c = List.map (fun m -> m.id) (voters c)
-
-let learners c = List.filter is_learner c.members
 
 let voters_in_region c region = List.filter (fun m -> m.region = region) (voters c)
 
@@ -56,12 +48,6 @@ let regions_with_voters c =
     c.members
 
 let member_ids c = List.map (fun m -> m.id) c.members
-
-(* Config changes are carried in the log as opaque strings so the log
-   layer stays independent of Raft. *)
-let encode_config c = Marshal.to_string c []
-
-let decode_config s : config = Marshal.from_string s 0
 
 (* ----- logless dynamic reconfiguration ----- *)
 

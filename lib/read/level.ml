@@ -22,24 +22,6 @@ let to_string = function
   | Bounded_staleness bound -> Printf.sprintf "bounded:%.0fms" (bound /. 1000.0)
   | Eventual -> "eventual"
 
-(* Level names as the CLI / generator config spells them; the RYW GTID
-   token is attached programmatically, not parsed. *)
-let parse s =
-  match String.lowercase_ascii (String.trim s) with
-  | "linearizable" | "lin" -> Ok Linearizable
-  | "ryw" | "read-your-writes" -> Ok (Read_your_writes None)
-  | "eventual" -> Ok Eventual
-  | other ->
-    let prefix = "bounded:" in
-    let plen = String.length prefix in
-    if String.length other > plen && String.sub other 0 plen = prefix then
-      match float_of_string_opt (String.sub other plen (String.length other - plen)) with
-      | Some ms when ms > 0.0 -> Ok (Bounded_staleness (ms *. 1000.0))
-      | _ -> Error (Printf.sprintf "bad staleness bound in %S" s)
-    else
-      Error
-        (Printf.sprintf "unknown read level %S (linearizable|ryw|bounded:<ms>|eventual)" s)
-
 (* Metric-name segment: one stable label per tier (RYW tokens and
    staleness bounds don't explode the metric namespace). *)
 let label = function

@@ -14,10 +14,6 @@ type t =
 
 val to_string : t -> string
 
-(** Parse a CLI/config spelling: [linearizable]/[lin], [ryw],
-    [bounded:<ms>], [eventual]. *)
-val parse : string -> (t, string) result
-
 (** Stable per-tier metric-name segment ("linearizable", "ryw",
     "bounded", "eventual"). *)
 val label : t -> string

@@ -9,10 +9,10 @@
 
     {!start} runs the reconcile loop: liveness telemetry against the
     current config declares a member dead after [dead_after] down, then
-    a replacement is walked through provision -> join-as-learner ->
-    catch-up -> promote -> evict, one idempotent action per tick and
-    never while another change is pending.  Metrics are exported under
-    [healer.*]. *)
+    the same step issuer walks the cluster to
+    [Planner.replace cfg ~dead ~by:replacement] — add learner, catch up,
+    promote, demote, remove — one step per tick and never while another
+    change is pending.  Metrics are exported under [healer.*]. *)
 
 (** The newest installed config across live nodes — the fleet's
     effective membership even while a leader election is in flight.
@@ -23,7 +23,6 @@ val newest_config : Myraft.Cluster.t -> Raft.Types.config option
     committed steps (0 = already there).  [on_step] fires after each
     committed step — chaos harnesses hang invariant checks on it. *)
 val apply_target :
-  ?step_timeout:float ->
   ?on_step:(Planner.step -> unit) ->
   Myraft.Cluster.t ->
   target:Raft.Types.config ->
@@ -37,24 +36,13 @@ type replacement = {
 
 type t
 
-(** Start the reconcile loop on the cluster's engine.
-    [replacement_region] picks where a corpse's replacement lives
-    (default: same region); [on_replaced] fires after each completed
-    swap (leader placement hooks). *)
-val start :
-  ?check_interval:float ->
-  ?dead_after:float ->
-  ?replacement_region:(Raft.Types.member -> string) ->
-  ?on_replaced:(removed:string -> added:string -> unit) ->
-  Myraft.Cluster.t ->
-  t
+(** Start the reconcile loop on the cluster's engine.  A corpse's
+    replacement takes its region, kind and voter grade. *)
+val start : ?check_interval:float -> ?dead_after:float -> Myraft.Cluster.t -> t
 
 val stop : t -> unit
 
 (** Completed replacements, oldest first. *)
 val replacements : t -> replacement list
-
-(** The (corpse, replacement) pair currently being driven, if any. *)
-val in_flight : t -> (string * string) option
 
 val metrics_snapshot : t -> Obs.Metrics.snapshot

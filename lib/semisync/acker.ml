@@ -15,14 +15,6 @@ type t = {
   mutable acks_sent : int;
 }
 
-let id t = t.id
-
-let log t = t.log
-
-let is_crashed t = t.crashed
-
-let acks_sent t = t.acks_sent
-
 let last_seq t = Binlog.Opid.index (Binlog.Log_store.last_opid t.log)
 
 let create ~engine ~id ~region ~send ~trace () =

@@ -42,12 +42,7 @@ val servers : t -> Server.t list
     tables). *)
 val mysql_ids : t -> string list
 
-val ackers : t -> Acker.t list
-
 val primary : t -> Server.t option
-
-(** Shipping peers (id, is_acker) a given primary serves. *)
-val peers_for : t -> string -> (string * bool) list
 
 val run_for : t -> float -> unit
 

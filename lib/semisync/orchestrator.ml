@@ -40,8 +40,6 @@ let current_primary t = t.current_primary
 
 let failovers t = t.failovers
 
-let promotions t = t.promotions
-
 let create ctx ~initial_primary =
   {
     ctx;
@@ -177,8 +175,6 @@ let start_monitoring t =
     t.monitoring <- true;
     monitor_tick t
   end
-
-let stop_monitoring t = t.monitoring <- false
 
 (* ----- graceful promotion ----- *)
 

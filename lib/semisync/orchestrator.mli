@@ -36,13 +36,9 @@ val current_primary : t -> string
 
 val failovers : t -> int
 
-val promotions : t -> int
-
 val handle_message : t -> src:string -> Wire.t -> unit
 
 val start_monitoring : t -> unit
-
-val stop_monitoring : t -> unit
 
 (** Operator-initiated promotion: quiesce, wait catch-up, switch roles,
     repoint, publish.  [on_done] fires at completion. *)

@@ -52,8 +52,6 @@ type t = {
 
 let id t = t.id
 
-let region t = t.region
-
 let role t = t.role
 
 let writes_enabled t = t.writes_enabled
@@ -67,8 +65,6 @@ let log t = t.log
 let last_seq t = Binlog.Opid.index (Binlog.Log_store.last_opid t.log)
 
 let applied_seq t = t.applied_seq
-
-let writes_committed t = t.writes_committed
 
 let pipeline_in_flight t = Myraft.Pipeline.in_flight t.pipeline
 
@@ -260,10 +256,6 @@ let handle_ack t ~src ~seq ~from_acker =
 (* ----- role changes (driven by the Orchestrator) ----- *)
 
 let disable_writes t = t.writes_enabled <- false
-
-(* How far a replica's relay log position is — the orchestrator queries
-   this to pick the best failover target. *)
-let position t = (last_seq t, t.applied_seq)
 
 let promote t ~peers:peer_list =
   t.role <- Primary;

@@ -23,8 +23,6 @@ val create :
 
 val id : t -> string
 
-val region : t -> string
-
 val role : t -> role
 
 val writes_enabled : t -> bool
@@ -41,13 +39,7 @@ val last_seq : t -> int
 (** Highest sequence applied to the engine (replica side). *)
 val applied_seq : t -> int
 
-val writes_committed : t -> int
-
 val pipeline_in_flight : t -> int
-
-(** (last received, last applied): the positions the orchestrator
-    queries to pick a failover target. *)
-val position : t -> int * int
 
 (** [reply] receives [Some gtid] on commit, [None] on rejection. *)
 val submit_write :
@@ -73,9 +65,6 @@ val serve_read :
 (** {2 Role changes (driven by the Orchestrator)} *)
 
 val disable_writes : t -> unit
-
-(** Become the primary serving [peers] (id, is_acker). *)
-val promote : t -> peers:(string * bool) list -> unit
 
 (** Promote and start the shipping loop. *)
 val start_as_primary : t -> peers:(string * bool) list -> unit

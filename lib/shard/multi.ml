@@ -408,13 +408,3 @@ let metrics_snapshot t =
   Obs.Metrics.merge_all ~node:"multi"
     (Array.to_list (Array.map Myraft.Cluster.metrics_snapshot t.clusters)
     @ [ Obs.Metrics.snapshot (Mux.metrics t.mux); Obs.Metrics.snapshot shard ])
-
-let describe t =
-  String.concat "\n"
-    (Array.to_list
-       (Array.mapi
-          (fun g c ->
-            Printf.sprintf "-- shard%d (leader=%s)\n%s" g
-              (Option.value (Myraft.Cluster.raft_leader c) ~default:"?")
-              (Myraft.Cluster.describe c))
-          t.clusters))

@@ -25,8 +25,6 @@ val create :
 
 (** {2 Accessors} *)
 
-val groups : t -> int
-
 (** Group [g]'s cluster.  @raise Invalid_argument on an unknown group. *)
 val cluster : t -> int -> Myraft.Cluster.t
 
@@ -41,8 +39,6 @@ val router : t -> Router.t
 val discovery : t -> Myraft.Service_discovery.t
 
 val member_ids : t -> string list
-
-val mysql_ids : t -> string list
 
 val region_of : t -> string -> string option
 
@@ -103,5 +99,3 @@ val backend : t -> Workload.Backend.t
 (** Deployment-wide merged snapshot: all groups' registries plus
     shard.mux.* / net.* rows and shard-level placement gauges. *)
 val metrics_snapshot : t -> Obs.Metrics.snapshot
-
-val describe : t -> string

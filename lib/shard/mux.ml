@@ -91,8 +91,6 @@ let create ~engine ~topology ?latency ~window () =
 
 let network t = t.network
 
-let window t = Sim.Coalesce.window t.coalesce
-
 (* Register the physical node's demux handler once; groups then attach
    per-group handlers into the table.  The liveness tap fires once per
    packet — a frame from [src]'s process proves the process is alive,
@@ -155,10 +153,6 @@ let carried_recently t ~group ~src ~dst ~within =
       (fun g at acc -> acc || (g <> group && now -. at <= within))
       per_group false
 
-(* Drain the coalescing buffers immediately (deterministic endpoints in
-   tests; the armed flush events then no-op). *)
-let flush_now t = Sim.Coalesce.flush_all t.coalesce
-
 (* ----- counters ----- *)
 
 let packets_sent t = t.packets_sent
@@ -166,10 +160,6 @@ let packets_sent t = t.packets_sent
 let frames_sent t = t.frames_sent
 
 let bytes_sent t = t.bytes_sent
-
-let taps_fired t = t.taps_fired
-
-let frames_per_packet t = t.frames_per_packet
 
 (* Registry-shaped view of the transport's counters: the shard.* mux
    rows plus the packet network's net.* rows (the cluster cannot dress

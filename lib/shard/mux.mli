@@ -13,13 +13,6 @@ type frame = { fr_group : int; fr_payload : Myraft.Wire.t }
     node led when the packet departed. *)
 type packet = { leads : int list; frames : frame list }
 
-(** Fixed per-packet / per-frame framing overhead charged on top of the
-    payload wire sizes, so coalescing shows up in net.bytes as
-    amortization. *)
-val packet_header_bytes : int
-
-val frame_tag_bytes : int
-
 val packet_size : frame list -> int
 
 type t
@@ -37,8 +30,6 @@ val create :
 
 (** The underlying packet network (fault injection, stats). *)
 val network : t -> packet Sim.Network.t
-
-val window : t -> float
 
 (** Idempotently add a physical node and install its demux handler. *)
 val add_node : t -> id:string -> region:string -> unit
@@ -66,10 +57,6 @@ val send : t -> group:int -> src:string -> dst:string -> Myraft.Wire.t -> unit
 val carried_recently :
   t -> group:int -> src:string -> dst:string -> within:float -> bool
 
-(** Drain the coalescing buffers immediately (deterministic endpoints in
-    tests). *)
-val flush_now : t -> unit
-
 (** {2 Counters} *)
 
 val packets_sent : t -> int
@@ -77,10 +64,6 @@ val packets_sent : t -> int
 val frames_sent : t -> int
 
 val bytes_sent : t -> int
-
-val taps_fired : t -> int
-
-val frames_per_packet : t -> Stats.Histogram.t
 
 (** shard.mux.* rows plus the packet network's net.* rows. *)
 val metrics : t -> Obs.Metrics.t

@@ -36,8 +36,6 @@ let create ~groups () =
   if groups <= 0 then invalid_arg "Shard.Router.create: groups must be positive";
   { groups; leader_cache = Hashtbl.create 16 }
 
-let groups t = t.groups
-
 let group_of t ~table ~key =
   (* Fold the digest to a bucket via unsigned modulo. *)
   Int64.to_int (Int64.unsigned_rem (hash ~table ~key) (Int64.of_int t.groups))

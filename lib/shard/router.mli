@@ -7,8 +7,6 @@ type t
 
 val create : groups:int -> unit -> t
 
-val groups : t -> int
-
 (** The raw 64-bit FNV-1a digest of (table, 0x00, key bytes); exposed
     for the stability unit test. *)
 val hash : table:string -> key:string -> int64

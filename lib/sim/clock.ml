@@ -29,8 +29,6 @@ let now t =
   if t.rate = 1.0 && t.base_local = t.base_true then Engine.now t.engine
   else t.base_local +. ((Engine.now t.engine -. t.base_true) *. t.rate)
 
-let rate t = t.rate
-
 (* Local minus true time: how far this node's wall reading has diverged. *)
 let skew t = now t -. Engine.now t.engine
 
@@ -63,5 +61,3 @@ let pristine t = t.rate = 1.0 && skew t = 0.0
 
 (* [delay] is local microseconds; the countdown runs on this oscillator. *)
 let schedule t ~delay fn = Engine.schedule t.engine ~delay:(max 0.0 (delay /. t.rate)) fn
-
-let schedule_at t ~time fn = schedule t ~delay:(max 0.0 (time -. now t)) fn

@@ -15,12 +15,6 @@ val create : engine:Engine.t -> unit -> t
 (** This node's wall reading, in local microseconds. *)
 val now : t -> float
 
-(** Local microseconds per true microsecond (1.0 = healthy). *)
-val rate : t -> float
-
-(** Local minus true time — accumulated divergence. *)
-val skew : t -> float
-
 (** Inject rate drift from this instant; past readings are unchanged.
     Raises [Invalid_argument] when the rate is not positive. *)
 val set_rate : t -> float -> unit
@@ -36,6 +30,3 @@ val pristine : t -> bool
 
 (** Arm a countdown of [delay] {e local} microseconds. *)
 val schedule : t -> delay:float -> (unit -> unit) -> Engine.handle
-
-(** Arm for an absolute {e local} time (clamped to now). *)
-val schedule_at : t -> time:float -> (unit -> unit) -> Engine.handle

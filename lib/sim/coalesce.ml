@@ -40,8 +40,6 @@ let create ~engine ~window ~flush () =
     frames_pushed = 0;
   }
 
-let window t = t.window
-
 let flush_key t key =
   match Hashtbl.find_opt t.buffers key with
   | None -> ()
@@ -63,22 +61,3 @@ let push t ~src ~dst frame =
     ignore
       (Engine.schedule t.engine ~delay:t.window (fun () -> flush_key t key)
         : Engine.handle)
-
-(* Drain every buffer immediately (shutdown, deterministic test
-   endpoints).  The armed flush events then find empty buffers and
-   no-op. *)
-let flush_all t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.buffers [] in
-  List.iter (flush_key t) keys
-
-let pending_frames t =
-  Hashtbl.fold (fun _ p acc -> acc + List.length p.frames) t.buffers 0
-
-let last_flush_at t ~src ~dst =
-  match Hashtbl.find_opt t.last_flush (src, dst) with
-  | Some time -> time
-  | None -> neg_infinity
-
-let flushes t = t.flushes
-
-let frames_pushed t = t.frames_pushed

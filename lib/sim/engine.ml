@@ -41,8 +41,6 @@ let schedule_at t ~time fn =
 
 let cancel handle = handle.cancelled <- true
 
-let cancelled handle = handle.cancelled
-
 (* Run events until the queue is exhausted or virtual time would exceed
    [limit].  Time is left at [limit] when the horizon is reached, so
    consecutive [run_until] calls compose. *)
@@ -63,24 +61,5 @@ let run_until t limit =
   loop ()
 
 let run_for t duration = run_until t (t.now +. duration)
-
-(* Drain the queue completely; safe only for workloads that terminate. *)
-let run t ~max_events =
-  let rec loop n =
-    if n >= max_events then failwith "Engine.run: event budget exhausted"
-    else if Heap.is_empty t.queue then ()
-    else begin
-      let key = Heap.min_key t.queue in
-      let handle, fn = Heap.pop_min t.queue in
-      t.now <- max t.now key;
-      if handle.cancelled then loop n
-      else begin
-        t.executed <- t.executed + 1;
-        fn ();
-        loop (n + 1)
-      end
-    end
-  in
-  loop 0
 
 let pending t = Heap.length t.queue

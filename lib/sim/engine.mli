@@ -37,18 +37,12 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 
-val cancelled : handle -> bool
-
 (** Execute due events until virtual time reaches [limit]; time is left
     at [limit] so consecutive calls compose. *)
 val run_until : t -> float -> unit
 
 (** [run_for t d] is [run_until t (now t +. d)]. *)
 val run_for : t -> float -> unit
-
-(** Drain the queue completely; raises once [max_events] have run (guard
-    against non-terminating workloads). *)
-val run : t -> max_events:int -> unit
 
 (** Events currently queued. *)
 val pending : t -> int

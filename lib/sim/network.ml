@@ -198,15 +198,10 @@ let topology t = t.topology
 
 let register t id handler = (node t id).handler <- Some handler
 
-let unregister t id =
-  match Tbl.find_opt t.nodes id with Some n -> n.handler <- None | None -> ()
-
 let set_down t id = (node t id).down <- true
 
 let set_up t id =
   match Tbl.find_opt t.nodes id with Some n -> n.down <- false | None -> ()
-
-let is_up t id = match Tbl.find_opt t.nodes id with Some n -> not n.down | None -> true
 
 let cut_regions t r1 r2 = Hashtbl.replace t.cut_region_pairs (ordered_pair r1 r2) ()
 
@@ -361,12 +356,6 @@ let reordered t = t.reordered
 
 let link_bytes t ~src ~dst =
   match find_link t ~src ~dst with Some l -> l.link_stats.bytes | None -> 0
-
-let link_messages t ~src ~dst =
-  match find_link t ~src ~dst with Some l -> l.link_stats.messages | None -> 0
-
-let region_pair_bytes t ~src ~dst =
-  match Hashtbl.find_opt t.region_stats (src, dst) with Some st -> st.bytes | None -> 0
 
 (* Total bytes that crossed a region boundary, in either direction. *)
 let cross_region_bytes t =

@@ -51,20 +51,6 @@ let normal_std t =
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let normal t ~mean ~stddev = mean +. (stddev *. normal_std t)
-
 (* Lognormal parameterised by the mean/stddev of the underlying normal.
    Used for heavy-tailed operational delays (automation queueing etc.). *)
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal_std t))
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -5,9 +5,6 @@
 
 type t
 
-(** [create seed] makes a generator from a 64-bit seed. *)
-val create : int64 -> t
-
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 val of_int : int -> t
 
@@ -32,17 +29,6 @@ val uniform : t -> lo:float -> hi:float -> float
 (** Exponential with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** Standard normal (Box-Muller). *)
-val normal_std : t -> float
-
-val normal : t -> mean:float -> stddev:float -> float
-
 (** Lognormal parameterised by the underlying normal's [mu]/[sigma]; used
     for heavy-tailed operational delays. *)
 val lognormal : t -> mu:float -> sigma:float -> float
-
-(** Uniform choice from a non-empty array. *)
-val pick : t -> 'a array -> 'a
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit

@@ -21,18 +21,12 @@ let add_node t ~id ~region =
   Hashtbl.replace t.by_id id info;
   t.nodes <- t.nodes @ [ info ]
 
-let remove_node t id =
-  Hashtbl.remove t.by_id id;
-  t.nodes <- List.filter (fun n -> n.id <> id) t.nodes
-
 let mem t id = Hashtbl.mem t.by_id id
 
 let region_of t id =
   match Hashtbl.find_opt t.by_id id with
   | Some info -> info.region
   | None -> invalid_arg ("Topology.region_of: unknown node " ^ id)
-
-let nodes t = List.map (fun n -> n.id) t.nodes
 
 let nodes_in_region t region =
   List.filter_map (fun n -> if n.region = region then Some n.id else None) t.nodes

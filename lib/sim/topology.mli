@@ -13,15 +13,10 @@ val create : unit -> t
 (** Raises [Invalid_argument] on duplicate ids. *)
 val add_node : t -> id:node_id -> region:region -> unit
 
-val remove_node : t -> node_id -> unit
-
 val mem : t -> node_id -> bool
 
 (** Raises [Invalid_argument] for unknown nodes. *)
 val region_of : t -> node_id -> region
-
-(** All nodes in insertion order. *)
-val nodes : t -> node_id list
 
 val nodes_in_region : t -> region -> node_id list
 

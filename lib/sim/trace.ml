@@ -15,8 +15,6 @@ type t = {
 
 let create ?(echo = false) engine = { entries = []; echo; enabled = true; engine }
 
-let set_echo t echo = t.echo <- echo
-
 let set_enabled t enabled = t.enabled <- enabled
 
 let record t ~tag fmt =
@@ -33,5 +31,3 @@ let record t ~tag fmt =
 let entries t = List.rev t.entries
 
 let entries_with_tag t tag = List.filter (fun e -> e.tag = tag) (entries t)
-
-let clear t = t.entries <- []

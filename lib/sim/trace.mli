@@ -7,8 +7,6 @@ type t
 
 val create : ?echo:bool -> Engine.t -> t
 
-val set_echo : t -> bool -> unit
-
 val set_enabled : t -> bool -> unit
 
 (** [record t ~tag fmt ...] formats and stores one entry. *)
@@ -18,5 +16,3 @@ val record : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val entries : t -> entry list
 
 val entries_with_tag : t -> string -> entry list
-
-val clear : t -> unit

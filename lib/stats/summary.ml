@@ -48,9 +48,6 @@ let bootstrap_ci ?(resamples = 1000) ?(confidence = 0.95) ~rng ~statistic values
 let mean_ci ?resamples ?confidence ~rng values =
   bootstrap_ci ?resamples ?confidence ~rng ~statistic:mean values
 
-let percentile_ci ?resamples ?confidence ~rng ~p values =
-  bootstrap_ci ?resamples ?confidence ~rng ~statistic:(fun v -> percentile v p) values
-
 let of_histogram h =
   let values = Array.make (Histogram.count h) 0.0 in
   let i = ref 0 in

@@ -27,8 +27,6 @@ let record t time =
 
 let total t = t.total
 
-let bucket_width t = t.bucket_width
-
 (* (bucket_start_time, count) rows covering the full observed range, with
    zero-filled gaps. *)
 let series t =

@@ -10,8 +10,6 @@ val record : t -> float -> unit
 
 val total : t -> int
 
-val bucket_width : t -> float
-
 (** (bucket start time, count) rows covering the observed range with
     zero-filled gaps. *)
 val series : t -> (float * int) list

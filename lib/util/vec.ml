@@ -9,8 +9,6 @@ let create ~dummy = { data = Array.make 8 dummy; size = 0; dummy }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let get t i =
   if i < 0 || i >= t.size then invalid_arg "Vec.get: out of bounds";
   t.data.(i)
@@ -30,8 +28,6 @@ let push t v =
   t.data.(t.size) <- v;
   t.size <- t.size + 1
 
-let last_opt t = if t.size = 0 then None else Some t.data.(t.size - 1)
-
 (* Shrink to [n] elements, returning the removed tail (front-to-back order). *)
 let truncate_to t n =
   if n < 0 || n > t.size then invalid_arg "Vec.truncate_to";
@@ -41,23 +37,6 @@ let truncate_to t n =
   done;
   t.size <- n;
   removed
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
-
-let iteri t f =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
-let fold t ~init f =
-  let acc = ref init in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
 
 let to_list t = List.init t.size (fun i -> t.data.(i))
 

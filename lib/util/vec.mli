@@ -7,8 +7,6 @@ val create : dummy:'a -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** Raises [Invalid_argument] out of bounds. *)
 val get : 'a t -> int -> 'a
 
@@ -18,16 +16,8 @@ val set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> unit
 
-val last_opt : 'a t -> 'a option
-
 (** Shrink to [n] elements, returning the removed tail in order. *)
 val truncate_to : 'a t -> int -> 'a list
-
-val iter : 'a t -> ('a -> unit) -> unit
-
-val iteri : 'a t -> (int -> 'a -> unit) -> unit
-
-val fold : 'a t -> init:'b -> ('b -> 'a -> 'b) -> 'b
 
 val to_list : 'a t -> 'a list
 

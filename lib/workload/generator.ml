@@ -80,8 +80,6 @@ type t = {
 
 let stats t = t.stats
 
-let last_gtid t = t.last_gtid
-
 let stop t = t.running <- false
 
 (* Cumulative Zipf(theta) weights over ranks 1..n, normalised to 1. *)

@@ -19,8 +19,6 @@ type trace = { ops : op list (* ascending by [at] *); trace_duration : float }
 
 let length trace = List.length trace.ops
 
-let duration trace = trace.trace_duration
-
 let ops trace = trace.ops
 
 (* Synthesize a production-representative trace: Poisson arrivals,

@@ -14,8 +14,6 @@ type trace
 
 val length : trace -> int
 
-val duration : trace -> float
-
 val ops : trace -> op list
 
 val total_bytes : trace -> int

@@ -38,9 +38,20 @@ let test_repeated_failovers_converge () =
     Myraft.Cluster.run_for cluster (5.0 *. s)
   done;
   Myraft.Cluster.run_for cluster (5.0 *. s);
-  match Workload.Failure_injection.consistency_check cluster with
-  | Ok n -> Alcotest.(check int) "all 20 txns everywhere" 20 n
-  | Error e -> Alcotest.failf "divergence after 3 failovers: %s" e
+  let checker =
+    Chaos.Invariants.create
+      ~now:(fun () -> Myraft.Cluster.now cluster)
+      ~probes:(Chaos.Nemesis.probes_of_cluster cluster) ()
+  in
+  Chaos.Invariants.check checker;
+  Chaos.Invariants.check_converged checker;
+  Alcotest.(check (list string)) "no divergence after 3 failovers" []
+    (List.map Chaos.Invariants.violation_to_string (Chaos.Invariants.violations checker));
+  List.iter
+    (fun srv ->
+      Alcotest.(check int) "all 20 txns everywhere" 20
+        (Storage.Engine.committed_count (Myraft.Server.storage srv)))
+    (Myraft.Cluster.servers cluster)
 
 let test_leader_region_partition_chooses_consistency () =
   (* §4.1: when the leader's whole region partitions away, FlexiRaft

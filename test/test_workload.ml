@@ -86,30 +86,64 @@ let test_generator_against_semisync_backend () =
   Alcotest.(check bool) "semisync backend commits" true
     ((Workload.Generator.stats gen).Workload.Generator.committed > 500)
 
+(* MyShadow (§5.1) as a one-kind nemesis: crash the leader every 10 s,
+   restart it 4 s later, one fault at a time; the engine-checksum
+   comparison is the invariant checker's digest-chain prefix check plus
+   the final convergence check. *)
 let test_failure_injection_preserves_consistency () =
   let cluster = Helpers.bootstrapped ~members:(Myraft.Cluster.single_region_members ()) () in
+  let engine = Myraft.Cluster.engine cluster in
   let backend = Workload.Backend.myraft cluster in
   let gen =
     Workload.Generator.create ~backend ~client_id:"load" ~region:"r1"
       ~client_latency:(100.0 *. Sim.Engine.us) ~write_timeout:(10.0 *. s) ()
   in
   Workload.Generator.start_open_loop gen ~rate_per_s:100.0;
-  let injector =
-    Workload.Failure_injection.start cluster ~kind:Workload.Failure_injection.Crash_leader
-      ~interval:(10.0 *. s) ~restart_after:(4.0 *. s)
+  let nemesis =
+    Chaos.Nemesis.create ~engine ~trace:(Myraft.Cluster.trace cluster)
+      ~rng:(Sim.Rng.split (Sim.Engine.rng engine))
+      ~spec:
+        {
+          Chaos.Schedule.default with
+          Chaos.Schedule.mix = [ (Chaos.Schedule.Leader_crash, 1.0) ];
+          inject_p = 1.0;
+          max_concurrent = 1;
+          heal_after_lo = 4.0 *. s;
+          heal_after_hi = 4.0 *. s;
+        }
+      ~ops:(Chaos.Nemesis.ops_of_cluster cluster)
   in
+  let checker =
+    Chaos.Invariants.create
+      ~now:(fun () -> Myraft.Cluster.now cluster)
+      ~probes:(Chaos.Nemesis.probes_of_cluster cluster) ()
+  in
+  let injecting = ref true in
+  let rec inject () =
+    if !injecting then begin
+      Chaos.Nemesis.step nemesis;
+      Chaos.Invariants.check checker;
+      ignore (Sim.Engine.schedule engine ~delay:(10.0 *. s) inject)
+    end
+  in
+  ignore (Sim.Engine.schedule engine ~delay:(10.0 *. s) inject);
   Myraft.Cluster.run_for cluster (35.0 *. s);
-  Workload.Failure_injection.stop injector;
+  injecting := false;
   Workload.Generator.stop gen;
   ignore
     (Myraft.Cluster.run_until cluster ~timeout:(60.0 *. s) (fun () ->
          Myraft.Cluster.primary cluster <> None));
   Myraft.Cluster.run_for cluster (10.0 *. s);
   Alcotest.(check bool) "injections happened" true
-    (Workload.Failure_injection.injections injector >= 2);
-  match Workload.Failure_injection.consistency_check cluster with
-  | Ok n -> Alcotest.(check bool) "progress" true (n > 0)
-  | Error e -> Alcotest.failf "divergence: %s" e
+    (Chaos.Nemesis.total_injections nemesis >= 2);
+  Chaos.Invariants.check checker;
+  Chaos.Invariants.check_converged checker;
+  Alcotest.(check (list string)) "no divergence" []
+    (List.map Chaos.Invariants.violation_to_string (Chaos.Invariants.violations checker));
+  Alcotest.(check bool) "progress" true
+    (Storage.Engine.committed_count
+       (Myraft.Server.storage (Option.get (Myraft.Cluster.primary cluster)))
+    > 0)
 
 let test_shadow_trace_deterministic () =
   let t1 = Workload.Shadow.record ~seed:9 ~rate_per_s:100.0 ~duration:(2.0 *. s) () in
