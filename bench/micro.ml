@@ -138,8 +138,7 @@ let pipeline_group_drain =
          for i = 1 to 100 do
            Myraft.Pipeline.submit p
              {
-               Myraft.Pipeline.label = "txn";
-               flush = (fun () -> Ok i);
+               Myraft.Pipeline.flush = (fun () -> Ok i);
                finish = (fun ~ok:_ -> incr done_count);
              }
          done;

@@ -29,7 +29,13 @@
      cell must not regress more than 10% over the budget recorded in the
      committed BENCH_PIPELINE.json;
    - retention: live heap words per committed txn in the same cell, with
-     the same recorded-budget ratchet and 10% slack. *)
+     the same recorded-budget ratchet and 10% slack;
+   - event queue: the same cell's live [Sim.Engine.pending] at window
+     end, against the bound recorded the same way.  The queue holds
+     only live work (settled requests cancel their timeouts), so it
+     scales with the requests in flight; a timer armed per request and
+     never cancelled makes it scale with the arrival rate times the
+     timeout instead. *)
 
 open Common
 
@@ -59,9 +65,9 @@ let gate_speedup_2ms = 1.3
 
 let gate_floor_tps_2ms = baseline_tps_2ms *. gate_speedup_2ms
 
-(* Allocation and retention regression budget: >10% growth of minor-heap
-   (or live-heap) words per committed txn over the recorded value fails
-   the gate. *)
+(* Allocation, retention and event-queue regression budget: >10% growth
+   of minor-heap (or live-heap) words per committed txn, or of live
+   events at window end, over the recorded value fails the gate. *)
 let alloc_slack = 1.10
 
 type cell = {
@@ -76,6 +82,7 @@ type cell = {
   c_alloc : Common.alloc_stats;
   c_words_per_txn : float;
   c_live_words_per_txn : float;
+  c_pending_end : int; (* live engine events at window end *)
 }
 
 let run_cell ~window ~rtt_ms ~seed =
@@ -110,6 +117,7 @@ let run_cell ~window ~rtt_ms ~seed =
     Common.with_alloc_stats (fun () -> Myraft.Cluster.run_for cluster measure)
   in
   let committed = stats.Workload.Generator.committed - committed0 in
+  let pending_end = Sim.Engine.pending (Myraft.Cluster.engine cluster) in
   Gc.full_major ();
   let live_words = (Gc.stat ()).Gc.live_words in
   Workload.Generator.stop gen;
@@ -133,17 +141,18 @@ let run_cell ~window ~rtt_ms ~seed =
     c_words_per_txn = Common.words_per_txn alloc ~txns:committed;
     c_live_words_per_txn =
       (if committed <= 0 then 0.0 else float_of_int live_words /. float_of_int committed);
+    c_pending_end = pending_end;
   }
 
 let json_of_cell c =
   Printf.sprintf
     "    {\"window\": %d, \"rtt_ms\": %g, \"committed\": %d, \"tps\": %.1f, \
      \"p50_us\": %.1f, \"p99_us\": %.1f, \"retransmits\": %d, \"nacks\": %d, %s, \
-     \"live_words_per_txn\": %.1f}"
+     \"live_words_per_txn\": %.1f, \"pending_end\": %d}"
     c.c_window c.c_rtt_ms c.c_committed c.c_tps c.c_p50_us c.c_p99_us c.c_retransmits
     c.c_nacks
     (Common.alloc_json c.c_alloc ~txns:c.c_committed)
-    c.c_live_words_per_txn
+    c.c_live_words_per_txn c.c_pending_end
 
 (* A budget previously recorded in BENCH_PIPELINE.json (the committed
    file, i.e. the state of the world before this run) under [field].
@@ -174,7 +183,8 @@ let recorded_budget ~path ~field =
 (* The budget to record: the ratchet only tightens. *)
 let ratchet budget value = match budget with Some b -> Float.min b value | None -> value
 
-let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget =
+let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget
+    ~pending_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"experiment\": \"pipeline\",\n";
@@ -191,13 +201,16 @@ let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_b
     "  \"hot_path_gate\": {\"rtt_ms\": 2, \"window\": 8, \"tps\": %.1f, \
      \"baseline_tps\": %g, \"speedup\": %.2f, \"min_speedup\": %g, \
      \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f, \
-     \"live_words_per_txn\": %.1f, \"live_words_per_txn_budget\": %.1f}\n"
+     \"live_words_per_txn\": %.1f, \"live_words_per_txn_budget\": %.1f, \
+     \"pending_end\": %d, \"pending_end_budget\": %.0f}\n"
     hot.c_tps baseline_tps_2ms
     (hot.c_tps /. baseline_tps_2ms)
     gate_speedup_2ms hot.c_words_per_txn
     (ratchet alloc_budget hot.c_words_per_txn)
     hot.c_live_words_per_txn
-    (ratchet live_budget hot.c_live_words_per_txn);
+    (ratchet live_budget hot.c_live_words_per_txn)
+    hot.c_pending_end
+    (ratchet pending_budget (float_of_int hot.c_pending_end));
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
@@ -212,6 +225,7 @@ let run () =
   let path = "BENCH_PIPELINE.json" in
   let alloc_budget = recorded_budget ~path ~field:"words_per_txn_budget" in
   let live_budget = recorded_budget ~path ~field:"live_words_per_txn_budget" in
+  let pending_budget = recorded_budget ~path ~field:"pending_end_budget" in
   Printf.printf "  closed loop, %d client threads, %.0f s measured per cell\n\n%!"
     threads (measure /. s);
   Printf.printf "  %-8s %-8s %10s %10s %10s %10s %6s %6s %10s %10s\n" "window" "rtt_ms"
@@ -237,7 +251,8 @@ let run () =
   let hot = find 8 2.0 in
   let ratio = w8.c_tps /. Float.max w1.c_tps 1e-9 in
   let gate_pass = ratio >= gate_ratio && w8.c_tps >= gate_floor_tps in
-  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget;
+  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~live_budget
+    ~pending_budget;
   Printf.printf
     "\n  gate @ %.0f ms RTT: window 8 = %.0f tps, window 1 = %.0f tps (%.2fx, need \
      >= %.1fx and >= %.0f tps)\n%!"
@@ -256,19 +271,27 @@ let run () =
     (match live_budget with
     | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
     | None -> " (no recorded budget; first run)");
+  Printf.printf
+    "  event-queue gate @ 2 ms RTT, window 8: %d live events at window end%s\n%!"
+    hot.c_pending_end
+    (match pending_budget with
+    | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
+    | None -> " (no recorded budget; first run)");
   let hot_pass = hot.c_tps >= gate_floor_tps_2ms in
   let within budget value =
     match budget with Some b -> value <= b *. alloc_slack | None -> true
   in
   let alloc_pass = within alloc_budget hot.c_words_per_txn in
   let live_pass = within live_budget hot.c_live_words_per_txn in
-  if gate_pass && hot_pass && alloc_pass && live_pass then
+  let pending_pass = within pending_budget (float_of_int hot.c_pending_end) in
+  if gate_pass && hot_pass && alloc_pass && live_pass && pending_pass then
     Printf.printf "  pipeline gate: PASS\n%!"
   else begin
-    Printf.printf "  pipeline gate: FAIL%s%s%s%s\n%!"
+    Printf.printf "  pipeline gate: FAIL%s%s%s%s%s\n%!"
       (if gate_pass then "" else " [window ratio]")
       (if hot_pass then "" else " [hot-path tps]")
       (if alloc_pass then "" else " [alloc regression]")
-      (if live_pass then "" else " [retention regression]");
+      (if live_pass then "" else " [retention regression]")
+      (if pending_pass then "" else " [event-queue growth]");
     exit 1
   end

@@ -17,8 +17,9 @@ type payload =
    concurrently with anything whose index is > [last_committed].  Kept
    outside the payload checksum — in the real binlog these live in the
    42-byte Gtid_event whose size we already account for, and they are
-   header metadata stamped by the primary, not client payload. *)
-type deps = { last_committed : int; sequence_number : int }
+   header metadata stamped by the primary, not client payload.  Held as
+   two immediate fields; [last_committed = -1] marks an entry not (yet)
+   stamped. *)
 
 (* The payload is held once, structured: the checksum is folded straight
    from its fields, so no wire-form copy lives beside it.  The CRC is kept
@@ -29,7 +30,8 @@ type t = {
   payload : payload;
   checksum : int;
   size : int;
-  mutable deps : deps option;
+  mutable last_committed : int;
+  mutable sequence_number : int;
 }
 
 (* ----- payload checksum -----
@@ -97,7 +99,8 @@ let make ~opid payload =
     payload;
     checksum = digest payload;
     size = payload_size payload + 16 (* opid + checksum framing *);
-    deps = None;
+    last_committed = -1;
+    sequence_number = 0;
   }
 
 let opid t = t.opid
@@ -114,10 +117,13 @@ let checksum t = Int32.of_int t.checksum
 
 let verify t = digest t.payload = t.checksum
 
-let deps t = t.deps
+let last_committed t = t.last_committed
+
+let sequence_number t = t.sequence_number
 
 let set_deps t ~last_committed ~sequence_number =
-  t.deps <- Some { last_committed; sequence_number }
+  t.last_committed <- last_committed;
+  t.sequence_number <- sequence_number
 
 let gtid t = match t.payload with Transaction { gtid; _ } -> Some gtid | _ -> None
 

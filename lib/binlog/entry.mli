@@ -12,14 +12,6 @@ type payload =
   | Config_change of { description : string; encoded : string }
   | Rotate_marker of { next_file : string }
 
-(** WRITESET dependency interval stamped by the primary at flush time
-    (binlog_transaction_dependency_tracking = WRITESET): a replica may
-    execute this transaction concurrently with any entry whose index is
-    greater than [last_committed].  Header metadata, not payload: it is
-    outside the checksum, like the fields of the real 42-byte
-    Gtid_event. *)
-type deps = { last_committed : int; sequence_number : int }
-
 type t
 
 val make : opid:Opid.t -> payload -> t
@@ -40,7 +32,16 @@ val checksum : t -> int32
 (** Recompute the checksum from the payload's fields and compare. *)
 val verify : t -> bool
 
-val deps : t -> deps option
+(** WRITESET dependency interval stamped by the primary at flush time
+    (binlog_transaction_dependency_tracking = WRITESET): a replica may
+    execute this transaction concurrently with any entry whose index is
+    greater than [last_committed].  Header metadata, not payload: it is
+    outside the checksum, like the fields of the real 42-byte
+    Gtid_event.  [last_committed] is [-1] and [sequence_number] [0] on
+    an entry the primary has not stamped. *)
+val last_committed : t -> int
+
+val sequence_number : t -> int
 
 val set_deps : t -> last_committed:int -> sequence_number:int -> unit
 

@@ -37,6 +37,7 @@ let[@inline] present e = e != absent
 type t = {
   mutable mode : mode;
   mutable files : file list; (* oldest first; last is the open file *)
+  mutable current : file; (* the open file, the last of [files] *)
   entries : Entry.t Vec.t; (* slot per index; [absent] once purged *)
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
@@ -69,20 +70,38 @@ type t = {
 
 let mode_prefix = function Binlog -> "binlog" | Relay -> "relaylog"
 
+let new_file mode ~seq ~previous_gtids =
+  {
+    file_name = Printf.sprintf "%s.%06d" (mode_prefix mode) seq;
+    previous_gtids;
+    first = 0;
+    last = -1;
+    closed = false;
+  }
+
 let fresh_file t =
-  let name = Printf.sprintf "%s.%06d" (mode_prefix t.mode) t.next_file_seq in
+  let f = new_file t.mode ~seq:t.next_file_seq ~previous_gtids:t.gtids in
   t.next_file_seq <- t.next_file_seq + 1;
-  { file_name = name; previous_gtids = t.gtids; first = 0; last = -1; closed = false }
+  f
+
+(* Every change to the file list goes through here, so appends reach
+   the open file without walking the list. *)
+let set_files t files =
+  let rec last = function [ f ] -> f | _ :: rest -> last rest | [] -> assert false in
+  t.files <- files;
+  t.current <- last files
 
 let create ?metrics ?(mode = Binlog) () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let first = new_file mode ~seq:1 ~previous_gtids:Gtid_set.empty in
   let t =
     {
       mode;
-      files = [];
+      files = [ first ];
+      current = first;
       entries = Vec.create ~dummy:absent;
       purged_below = 1;
-      next_file_seq = 1;
+      next_file_seq = 2;
       gtids = Gtid_set.empty;
       fsyncs = 0;
       last_cached = Opid.zero;
@@ -103,7 +122,6 @@ let create ?metrics ?(mode = Binlog) () =
     }
   in
   Vec.push t.entries absent (* sentinel slot 0 *);
-  t.files <- [ fresh_file t ];
   t
 
 let last_index t = Vec.length t.entries - 1
@@ -129,11 +147,6 @@ let term_at t index =
     else if index = Opid.index t.purge_boundary then Some (Opid.term t.purge_boundary)
     else None
 
-let current_file t =
-  match List.rev t.files with
-  | f :: _ -> f
-  | [] -> assert false
-
 let append t entry =
   let index = Entry.index entry in
   if index <> last_index t + 1 then
@@ -145,7 +158,7 @@ let append t entry =
   | _ -> ());
   Vec.push t.entries entry;
   t.last_cached <- Entry.opid entry;
-  let f = current_file t in
+  let f = t.current in
   if f.first = 0 then f.first <- index;
   f.last <- index;
   Obs.Metrics.incr t.m_appends;
@@ -204,8 +217,8 @@ let truncate_from t ~from_index =
           end)
         t.files
     in
-    t.files <- (if keep = [] then [ fresh_file t ] else keep);
-    (match List.rev t.files with f :: _ -> f.closed <- false | [] -> ());
+    set_files t (if keep = [] then [ fresh_file t ] else keep);
+    t.current.closed <- false;
     t.synced_index <- min t.synced_index (from_index - 1);
     Obs.Metrics.incr t.m_truncations;
     Obs.Metrics.add t.m_entries_truncated (List.length removed);
@@ -216,10 +229,9 @@ let truncate_from t ~from_index =
    rotate entry itself is replicated through Raft by the caller; this
    call only performs the local file switch. *)
 let rotate t =
-  let f = current_file t in
-  f.closed <- true;
+  t.current.closed <- true;
   Obs.Metrics.incr t.m_rotations;
-  t.files <- t.files @ [ fresh_file t ]
+  set_files t (t.files @ [ fresh_file t ])
 
 (* SHOW BINARY LOGS view: (file name, size in bytes, entry count). *)
 let file_list t =
@@ -262,7 +274,7 @@ let purge_to t ~file =
       drop rest
     | rest -> rest
   in
-  t.files <- drop t.files
+  set_files t (drop t.files)
 
 let purged_below t = t.purged_below
 
@@ -298,7 +310,7 @@ let install_snapshot t ~last ~gtids =
           end)
         t.files
     in
-    t.files <- (if keep = [] then [ fresh_file t ] else keep);
+    set_files t (if keep = [] then [ fresh_file t ] else keep);
     t.purged_below <- max t.purged_below (b + 1);
     if b >= Opid.index t.purge_boundary then t.purge_boundary <- last;
     if last_index t <= b then t.last_cached <- last;
@@ -320,7 +332,7 @@ let install_snapshot t ~last ~gtids =
     t.last_cached <- last;
     t.synced_index <- b (* the snapshot itself is durable *);
     t.gtids <- gtids;
-    t.files <- [ fresh_file t ];
+    set_files t [ fresh_file t ];
     removed
   end
 
@@ -452,10 +464,10 @@ let scan_for_corruption t =
 let switch_mode t new_mode =
   if t.mode <> new_mode then begin
     t.mode <- new_mode;
-    let f = current_file t in
-    if f.first = 0 then
+    if t.current.first = 0 then
       (* current file is empty: replace it so its name matches the mode *)
-      t.files <- List.filteri (fun i _ -> i < List.length t.files - 1) t.files @ [ fresh_file t ]
+      set_files t
+        (List.filteri (fun i _ -> i < List.length t.files - 1) t.files @ [ fresh_file t ])
     else rotate t
   end
 

@@ -278,8 +278,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
             let term = Binlog.Entry.term entry in
             Pipeline.submit t.pipeline
               {
-                Pipeline.label = Binlog.Gtid.to_string gtid;
-                flush =
+                Pipeline.flush =
                   (fun () ->
                     trace_event t ~stage:"flush" ~term ~index;
                     Ok index);
@@ -316,8 +315,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
        once the event is consensus committed. *)
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "rotate";
-        flush = (fun () -> Ok (Binlog.Entry.index entry));
+        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
         finish =
           (fun ~ok ->
             if ok then Binlog.Log_store.rotate t.log;
@@ -329,8 +327,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
        applied_index remains a committed-prefix watermark. *)
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "noop";
-        flush = (fun () -> Ok (Binlog.Entry.index entry));
+        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
         finish = (fun ~ok -> on_done ~ok);
       };
     on_submitted ()
@@ -641,8 +638,7 @@ let submit_write t ~table ~ops ~reply =
                let opid = ref Binlog.Opid.zero in
                Pipeline.submit t.pipeline
                  {
-                   Pipeline.label = Binlog.Gtid.to_string gtid;
-                   flush =
+                   Pipeline.flush =
                      (fun () ->
                        match Raft.Node.client_append (raft t) payload with
                        | Ok assigned ->
@@ -705,7 +701,7 @@ let make_read_service t =
          clock: a drifting clock misjudges anchor age exactly as a real
          bounded-staleness implementation would. *)
       Read.Service.now = (fun () -> Sim.Clock.now t.clock);
-      schedule = (fun ~delay f -> ignore (Sim.Clock.schedule t.clock ~delay f));
+      schedule = (fun ~delay f -> Sim.Clock.schedule t.clock ~delay f);
       read_index = (fun k -> Raft.Node.remote_read_index (raft t) k);
       lease_valid = (fun () -> Raft.Node.lease_valid (raft t));
       staleness_anchor = (fun () -> Raft.Node.staleness_anchor (raft t));
@@ -748,8 +744,7 @@ let flush_binary_logs t =
   else begin
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "rotate";
-        flush =
+        Pipeline.flush =
           (fun () ->
             match
               Raft.Node.client_append (raft t)

@@ -2390,11 +2390,15 @@ let client_append t payload =
       Binlog.Opid.make ~term:t.durable.current_term ~index:(last_index t + 1)
     in
     let entry = Binlog.Entry.make ~opid payload in
+    let durable = t.log.durable_index () in
     t.log.append entry;
     Log_cache.put t.cache entry;
     note_append t entry;
     replicate_all t ~allow_empty:false;
-    advance_commit t;
+    (* Only the leader's own durable index can have moved here (peers
+       ack over the network).  Inside a flush group the fsync is
+       batched and [notify_log_synced] advances the commit instead. *)
+    if t.log.durable_index () > durable then advance_commit t;
     Ok opid
   end
 

@@ -14,9 +14,13 @@
      replication heartbeat.
    - Eventual: read the local engine as-is.
 
-   Every read carries a service-level deadline: continuations parked on
-   apply/commit waiters die silently when leadership moves or the node
-   crashes, and the deadline converts that into a retryable rejection. *)
+   Every read that can wait (Linearizable, and Read_your_writes with a
+   session GTID) carries a service-level deadline: continuations parked
+   on apply/commit waiters die silently when leadership moves or the
+   node crashes, and the deadline converts that into a retryable
+   rejection.  The other tiers settle synchronously and arm none.  A
+   read that settles cancels its deadline, so the event queue holds the
+   deadlines of reads still in flight only. *)
 
 type outcome =
   | Value of string option
@@ -24,7 +28,7 @@ type outcome =
 
 type ops = {
   now : unit -> float;
-  schedule : delay:float -> (unit -> unit) -> unit;
+  schedule : delay:float -> (unit -> unit) -> Sim.Engine.handle;
   read_index : ((int, string) result -> unit) -> unit;
       (* resolve the linearizable read index from any role *)
   lease_valid : unit -> bool; (* metric attribution: fast path vs round *)
@@ -86,11 +90,13 @@ let serve t ~level ~table ~key k =
   let start = ops.now () in
   let tier = List.assoc (Level.label level) t.tiers in
   let finished = ref false in
+  let deadline = ref None in
   (* Single-fire guard: apply/commit waiters have no cancellation, so
      the deadline and the happy path race to finish the read. *)
   let finish outcome =
     if not !finished then begin
       finished := true;
+      Option.iter Sim.Engine.cancel !deadline;
       (match outcome with
       | Value _ ->
         Obs.Metrics.incr tier.tm_served;
@@ -100,11 +106,16 @@ let serve t ~level ~table ~key k =
     end
   in
   let reject reason = finish (Rejected { reason; retry_after = Some t.params.retry_hint }) in
-  ops.schedule ~delay:t.params.read_timeout (fun () ->
-      if not !finished then begin
-        Obs.Metrics.incr t.m_timeouts;
-        reject "read timed out"
-      end);
+  (match level with
+  | Level.Linearizable | Level.Read_your_writes (Some _) ->
+    deadline :=
+      Some
+        (ops.schedule ~delay:t.params.read_timeout (fun () ->
+             if not !finished then begin
+               Obs.Metrics.incr t.m_timeouts;
+               reject "read timed out"
+             end))
+  | Level.Eventual | Level.Read_your_writes None | Level.Bounded_staleness _ -> ());
   let read_local () = finish (Value (ops.get ~table ~key)) in
   let after_applied index =
     if ops.applied_index () >= index then read_local ()

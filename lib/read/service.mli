@@ -11,7 +11,9 @@ type outcome =
     at any point of the server's lifecycle. *)
 type ops = {
   now : unit -> float;
-  schedule : delay:float -> (unit -> unit) -> unit;
+  schedule : delay:float -> (unit -> unit) -> Sim.Engine.handle;
+      (** arm a read deadline; the service cancels it when the read
+          settles *)
   read_index : ((int, string) result -> unit) -> unit;
       (** resolve the linearizable read index from any role (leader
           locally, follower/learner by forwarding) *)

@@ -3,7 +3,10 @@
     Virtual time is a float measured in {e microseconds} (the unit the
     paper reports commit latencies in).  The engine owns a single event
     queue; events scheduled for the same instant fire in scheduling
-    order, keeping runs deterministic. *)
+    order, keeping runs deterministic.  The queue holds live work only:
+    a cancelled event releases its thunk at once and leaves the heap at
+    the next rebuild, which runs once cancelled events outnumber live
+    ones. *)
 
 type t
 
@@ -35,6 +38,9 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** Schedule at an absolute virtual time (clamped to now). *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
+(** Cancel a queued event: it will not run, and it no longer counts
+    in {!pending}.  A no-op on an event that already fired or was
+    already cancelled. *)
 val cancel : handle -> unit
 
 (** Execute due events until virtual time reaches [limit]; time is left
@@ -44,5 +50,5 @@ val run_until : t -> float -> unit
 (** [run_for t d] is [run_until t (now t +. d)]. *)
 val run_for : t -> float -> unit
 
-(** Events currently queued. *)
+(** Live events: scheduled, not yet fired and not cancelled. *)
 val pending : t -> int

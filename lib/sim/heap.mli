@@ -23,3 +23,8 @@ val min_key : 'a t -> float
 (** Remove and return the value with the smallest (key, seq).
     Precondition: non-empty. *)
 val pop_min : 'a t -> 'a
+
+(** [filter t keep] removes every value for which [keep] is false and
+    re-heapifies the rest in O(length).  The pop order of the kept
+    values is unchanged, since it depends only on their (key, seq). *)
+val filter : 'a t -> ('a -> bool) -> unit

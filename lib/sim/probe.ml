@@ -22,23 +22,29 @@ let failures t = List.length t.failure_times
 
 let success_times t = List.rev t.success_times
 
+(* The attempt's timeout is cancelled once an outcome arrives, so a
+   settled attempt leaves nothing queued. *)
 let attempt t =
   let settled = ref false in
+  let timeout = ref None in
   t.issue ~on_outcome:(fun ok ->
       (* [t.running] gate: a probe stopped mid-flight must not record
          outcomes delivered (or timed out) after [stop]. *)
       if (not !settled) && t.running then begin
         settled := true;
+        Option.iter Engine.cancel !timeout;
         let now = Engine.now t.engine in
         if ok then t.success_times <- now :: t.success_times
         else t.failure_times <- now :: t.failure_times
       end);
-  ignore
-    (Engine.schedule t.engine ~delay:t.timeout (fun () ->
-         if (not !settled) && t.running then begin
-           settled := true;
-           t.failure_times <- Engine.now t.engine :: t.failure_times
-         end))
+  if not !settled then
+    timeout :=
+      Some
+        (Engine.schedule t.engine ~delay:t.timeout (fun () ->
+             if (not !settled) && t.running then begin
+               settled := true;
+               t.failure_times <- Engine.now t.engine :: t.failure_times
+             end))
 
 let start ?(interval = 5.0 *. Engine.ms) ?(timeout = 1.0 *. Engine.s) engine ~issue =
   let t =

@@ -15,7 +15,12 @@
    writes queue behind the prepared transaction holding the lock, which
    is what makes group-commit stalls visible in latency. *)
 
-type row = { value : string; mutable last_writer : Binlog.Gtid.t option }
+(* [last_writer] is [no_writer] (by physical equality) for a row
+   restored from a checkpoint that carried none: a sentinel, not an
+   option box per row. *)
+type row = { value : string; last_writer : Binlog.Gtid.t }
+
+let no_writer = Binlog.Gtid.make ~source:"" ~gno:1
 
 type prepared = {
   gtid : Binlog.Gtid.t;
@@ -40,7 +45,9 @@ type t = {
      as an immediate int (it fits in 32 bits), not a boxed [int32]; it is
      converted only where it leaves the engine. *)
   commit_digests : int Vec.t;
-  commit_log : (Binlog.Gtid.t * Binlog.Opid.t) Vec.t; (* commit order *)
+  (* commit order; slot i of both vecs is the ith commit *)
+  commit_gtids : Binlog.Gtid.t Vec.t;
+  commit_opids : Binlog.Opid.t Vec.t;
   mutable commit_listeners : (Binlog.Gtid.t -> Binlog.Opid.t -> unit) list;
   (* fired (in subscription order) after each commit_prepared has fully
      applied: gtid_executed and last_committed_opid already reflect the
@@ -57,7 +64,8 @@ let create () =
     committed_count = 0;
     rolled_back_count = 0;
     commit_digests = Vec.create ~dummy:0;
-    commit_log = Vec.create ~dummy:(Binlog.Gtid.make ~source:"none" ~gno:1, Binlog.Opid.zero);
+    commit_gtids = Vec.create ~dummy:no_writer;
+    commit_opids = Vec.create ~dummy:Binlog.Opid.zero;
     commit_listeners = [];
   }
 
@@ -128,7 +136,7 @@ let apply_op t gtid (tbl_name, op) =
   let tbl = table t tbl_name in
   match op with
   | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
-    Hashtbl.replace tbl key { value; last_writer = Some gtid }
+    Hashtbl.replace tbl key { value; last_writer = gtid }
   | Delete { key; _ } -> Hashtbl.remove tbl key
 
 (* Durably commit a prepared transaction, stamping the Raft OpId. *)
@@ -146,7 +154,8 @@ let commit_prepared t ~gtid ~opid =
     let n = Vec.length t.commit_digests in
     let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
     Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
-    Vec.push t.commit_log (gtid, opid);
+    Vec.push t.commit_gtids gtid;
+    Vec.push t.commit_opids opid;
     List.iter (fun f -> f gtid opid) t.commit_listeners
 
 let rollback_prepared t ~gtid =
@@ -204,7 +213,9 @@ let checksum_at t ~count =
   if count = 0 then 0l else Int32.of_int (Vec.get t.commit_digests (count - 1))
 
 (* The [n]th committed transaction (0-based, commit order). *)
-let nth_commit t n = Vec.get_opt t.commit_log n
+let nth_commit t n =
+  if n < 0 || n >= Vec.length t.commit_gtids then None
+  else Some (Vec.get t.commit_gtids n, Vec.get t.commit_opids n)
 
 (* ----- engine-checkpoint snapshots (log compaction / InstallSnapshot) ----- *)
 
@@ -212,7 +223,9 @@ let nth_commit t n = Vec.get_opt t.commit_log n
    committed table content, the executed-GTID set, the recovery cursor,
    and the cumulative commit-digest chain — without the chain a restored
    replica could no longer prove history convergence against its peers
-   (the §5.1 prefix-checksum comparisons). *)
+   (the §5.1 prefix-checksum comparisons).  The engine's compact forms
+   (the [no_writer] sentinel, the parallel commit vecs) are expanded
+   here, so the encoded bytes do not depend on them. *)
 type checkpoint = {
   ck_rows : (string * (string * string * Binlog.Gtid.t option) list) list;
   ck_gtid_executed : Binlog.Gtid_set.t;
@@ -227,7 +240,11 @@ let checkpoint t =
     Hashtbl.fold
       (fun tbl_name tbl acc ->
         let rows =
-          Hashtbl.fold (fun key r acc -> (key, r.value, r.last_writer) :: acc) tbl []
+          Hashtbl.fold
+            (fun key r acc ->
+              let w = if r.last_writer == no_writer then None else Some r.last_writer in
+              (key, r.value, w) :: acc)
+            tbl []
         in
         (tbl_name, rows) :: acc)
       t.tables []
@@ -238,7 +255,9 @@ let checkpoint t =
     ck_last_committed_opid = t.last_committed_opid;
     ck_committed_count = t.committed_count;
     ck_digests = List.map Int32.of_int (Vec.to_list t.commit_digests);
-    ck_commit_log = Vec.to_list t.commit_log;
+    ck_commit_log =
+      List.init (Vec.length t.commit_gtids) (fun i ->
+          (Vec.get t.commit_gtids i, Vec.get t.commit_opids i));
   }
 
 (* Reseat the engine from a checkpoint.  Prepared-but-uncommitted
@@ -252,7 +271,9 @@ let restore t ck =
     (fun (tbl_name, rows) ->
       let tbl = table t tbl_name in
       List.iter
-        (fun (key, value, last_writer) -> Hashtbl.replace tbl key { value; last_writer })
+        (fun (key, value, w) ->
+          let last_writer = match w with Some g -> g | None -> no_writer in
+          Hashtbl.replace tbl key { value; last_writer })
         rows)
     ck.ck_rows;
   t.gtid_executed <- ck.ck_gtid_executed;
@@ -262,8 +283,13 @@ let restore t ck =
   List.iter
     (fun d -> Vec.push t.commit_digests (Int32.to_int d land 0xFFFF_FFFF))
     ck.ck_digests;
-  ignore (Vec.truncate_to t.commit_log 0);
-  List.iter (Vec.push t.commit_log) ck.ck_commit_log
+  ignore (Vec.truncate_to t.commit_gtids 0);
+  ignore (Vec.truncate_to t.commit_opids 0);
+  List.iter
+    (fun (gtid, opid) ->
+      Vec.push t.commit_gtids gtid;
+      Vec.push t.commit_opids opid)
+    ck.ck_commit_log
 
 let encode_checkpoint ck = Marshal.to_string ck []
 

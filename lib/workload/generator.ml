@@ -60,9 +60,11 @@ type t = {
   stats : stats;
   write_timeout : float;
   read_timeout : float;
-  outstanding : (int, float * (bool -> unit) option) Hashtbl.t;
-    (* write id -> (send time, continuation) *)
-  outstanding_reads : (int, float * (Backend.read_outcome -> unit) option) Hashtbl.t;
+  outstanding : (int, float * (bool -> unit) option * Sim.Engine.handle) Hashtbl.t;
+    (* write id -> (send time, continuation, timeout); a reply cancels
+       the timeout, so only requests in flight keep one queued *)
+  outstanding_reads :
+    (int, float * (Backend.read_outcome -> unit) option * Sim.Engine.handle) Hashtbl.t;
   mutable next_id : int;
   mutable next_read_id : int;
   mutable running : bool;
@@ -133,8 +135,9 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
     ~on_reply:(fun ~write_id ~ok ~gtid ->
       match Hashtbl.find_opt t.outstanding write_id with
       | None -> ()
-      | Some (sent_at, k) ->
+      | Some (sent_at, k, timeout) ->
         Hashtbl.remove t.outstanding write_id;
+        Sim.Engine.cancel timeout;
         let now = Sim.Engine.now backend.Backend.engine in
         if ok then begin
           t.stats.committed <- t.stats.committed + 1;
@@ -147,8 +150,9 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
     ~on_read_reply:(fun ~read_id ~outcome ->
       match Hashtbl.find_opt t.outstanding_reads read_id with
       | None -> ()
-      | Some (sent_at, k) ->
+      | Some (sent_at, k, timeout) ->
         Hashtbl.remove t.outstanding_reads read_id;
+        Sim.Engine.cancel timeout;
         let now = Sim.Engine.now backend.Backend.engine in
         (match outcome with
         | Backend.Read_ok _ ->
@@ -171,22 +175,26 @@ let issue_op ?k t ~table ~key ~value_size =
   t.next_id <- t.next_id + 1;
   t.stats.issued <- t.stats.issued + 1;
   let ops = [ Binlog.Event.Insert { key; value = String.make value_size 'd' } ] in
-  Hashtbl.replace t.outstanding write_id (Sim.Engine.now engine, k);
+  (* Armed before the send so the table entry can carry it.  What the
+     send schedules lands well before the timeout, so events fire in the
+     order arming it after the send would give. *)
+  let timeout =
+    Sim.Engine.schedule engine ~delay:t.write_timeout (fun () ->
+        match Hashtbl.find_opt t.outstanding write_id with
+        | None -> () (* already settled *)
+        | Some (_, k, _) ->
+          Hashtbl.remove t.outstanding write_id;
+          t.stats.timed_out <- t.stats.timed_out + 1;
+          (match k with Some k -> k false | None -> ()))
+  in
+  Hashtbl.replace t.outstanding write_id (Sim.Engine.now engine, k, timeout);
   let sent = t.backend.Backend.send_write ~client:t.client_id ~write_id ~table ~ops in
   if not sent then begin
     Hashtbl.remove t.outstanding write_id;
+    Sim.Engine.cancel timeout;
     t.stats.rejected <- t.stats.rejected + 1;
     match k with Some k -> k false | None -> ()
   end
-  else
-    ignore
-      (Sim.Engine.schedule engine ~delay:t.write_timeout (fun () ->
-           match Hashtbl.find_opt t.outstanding write_id with
-           | None -> () (* already settled *)
-           | Some (_, k) ->
-             Hashtbl.remove t.outstanding write_id;
-             t.stats.timed_out <- t.stats.timed_out + 1;
-             (match k with Some k -> k false | None -> ())))
 
 (* Issue one read at [level] (defaults to the generator's configured
    level, with the session's last GTID attached for RYW). *)
@@ -201,30 +209,31 @@ let issue_read ?k ?level ?target t ~table ~key =
   let read_id = t.next_read_id in
   t.next_read_id <- t.next_read_id + 1;
   t.stats.reads_issued <- t.stats.reads_issued + 1;
-  Hashtbl.replace t.outstanding_reads read_id (Sim.Engine.now engine, k);
+  let timeout =
+    Sim.Engine.schedule engine ~delay:t.read_timeout (fun () ->
+        match Hashtbl.find_opt t.outstanding_reads read_id with
+        | None -> () (* already settled *)
+        | Some (_, k, _) ->
+          Hashtbl.remove t.outstanding_reads read_id;
+          t.stats.reads_timed_out <- t.stats.reads_timed_out + 1;
+          (match k with
+          | Some k ->
+            k (Backend.Read_rejected { reason = "read timed out"; retry_after = None })
+          | None -> ()))
+  in
+  Hashtbl.replace t.outstanding_reads read_id (Sim.Engine.now engine, k, timeout);
   let sent =
     t.backend.Backend.send_read ~client:t.client_id ~read_id ~level ~table ~key ~target
   in
   if not sent then begin
     Hashtbl.remove t.outstanding_reads read_id;
+    Sim.Engine.cancel timeout;
     t.stats.reads_rejected <- t.stats.reads_rejected + 1;
     match k with
     | Some k ->
       k (Backend.Read_rejected { reason = "no read target"; retry_after = None })
     | None -> ()
   end
-  else
-    ignore
-      (Sim.Engine.schedule engine ~delay:t.read_timeout (fun () ->
-           match Hashtbl.find_opt t.outstanding_reads read_id with
-           | None -> () (* already settled *)
-           | Some (_, k) ->
-             Hashtbl.remove t.outstanding_reads read_id;
-             t.stats.reads_timed_out <- t.stats.reads_timed_out + 1;
-             (match k with
-             | Some k ->
-               k (Backend.Read_rejected { reason = "read timed out"; retry_after = None })
-             | None -> ())))
 
 (* Smallest rank whose cumulative weight covers [u] (inverse CDF). *)
 let zipf_rank cdf u =

@@ -291,8 +291,7 @@ let test_lock_conflict_retries_and_preserves_order () =
           | () ->
             Myraft.Pipeline.submit pipeline
               {
-                Myraft.Pipeline.label = Binlog.Gtid.to_string gtid;
-                flush = (fun () -> Ok (Binlog.Entry.index entry));
+                Myraft.Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
                 finish =
                   (fun ~ok ->
                     if ok then begin
@@ -514,6 +513,11 @@ let prop_lane_accounting =
 
 (* ----- primary-side stamping, end to end ----- *)
 
+(* The stamped (last_committed, sequence_number) interval, if any. *)
+let deps e =
+  if Binlog.Entry.last_committed e < 0 then None
+  else Some (Binlog.Entry.last_committed e, Binlog.Entry.sequence_number e)
+
 let test_primary_stamps_dependency_intervals () =
   let cluster = Helpers.bootstrapped ~members:(Myraft.Cluster.small_members ()) () in
   Helpers.check_ok "w1" (Helpers.direct_write cluster ~key:"hot" ~value:"a");
@@ -524,33 +528,30 @@ let test_primary_stamps_dependency_intervals () =
   let log = Myraft.Server.log primary in
   let deps_at i =
     match Binlog.Log_store.entry_at log i with
-    | Some e -> Binlog.Entry.deps e
+    | Some e -> deps e
     | None -> Alcotest.failf "no entry at %d" i
   in
   (* index 1 is the term-opening noop; writes land at 2, 3, 4 *)
   Alcotest.(check bool) "noop carries no interval" true (deps_at 1 = None);
   (match deps_at 2 with
-  | Some d ->
-    Alcotest.(check int) "first writer of 'hot' depends on floor" 0
-      d.Binlog.Entry.last_committed;
-    Alcotest.(check int) "sequence_number is the log index" 2
-      d.Binlog.Entry.sequence_number
+  | Some (last_committed, sequence_number) ->
+    Alcotest.(check int) "first writer of 'hot' depends on floor" 0 last_committed;
+    Alcotest.(check int) "sequence_number is the log index" 2 sequence_number
   | None -> Alcotest.fail "write 1 not stamped");
   (match deps_at 3 with
-  | Some d ->
-    Alcotest.(check int) "second writer of 'hot' depends on the first" 2
-      d.Binlog.Entry.last_committed
+  | Some (last_committed, _) ->
+    Alcotest.(check int) "second writer of 'hot' depends on the first" 2 last_committed
   | None -> Alcotest.fail "write 2 not stamped");
   (match deps_at 4 with
-  | Some d ->
-    Alcotest.(check int) "'cold' is independent" 0 d.Binlog.Entry.last_committed
+  | Some (last_committed, _) ->
+    Alcotest.(check int) "'cold' is independent" 0 last_committed
   | None -> Alcotest.fail "write 3 not stamped");
   (* the stamps replicated through Raft: a replica's relay log agrees *)
   let replica_log = Myraft.Server.log (Option.get (Myraft.Cluster.server cluster "mysql2")) in
   match Binlog.Log_store.entry_at replica_log 3 with
   | Some e ->
     Alcotest.(check bool) "replica sees the interval" true
-      (Binlog.Entry.deps e = deps_at 3)
+      (deps e = deps_at 3)
   | None -> Alcotest.fail "replica missing entry 3"
 
 (* ----- qcheck: chaos equivalence across worker counts ----- *)

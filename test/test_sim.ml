@@ -172,6 +172,182 @@ let test_engine_run_until_horizon () =
   Sim.Engine.run_until e 60.0;
   Alcotest.(check bool) "fires after horizon advance" true !fired
 
+(* Cancelling a fired or already-cancelled event changes nothing: no
+   pending count goes negative and later events still run. *)
+let test_engine_cancel_after_fire_is_noop () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let h = Sim.Engine.schedule e ~delay:5.0 (fun () -> incr fired) in
+  Sim.Engine.run_until e 10.0;
+  Alcotest.(check int) "fired once" 1 !fired;
+  Alcotest.(check int) "nothing pending" 0 (Sim.Engine.pending e);
+  Sim.Engine.cancel h;
+  Sim.Engine.cancel h;
+  Alcotest.(check int) "still nothing pending" 0 (Sim.Engine.pending e);
+  let later = Sim.Engine.schedule e ~delay:5.0 (fun () -> incr fired) in
+  Alcotest.(check int) "one pending" 1 (Sim.Engine.pending e);
+  Sim.Engine.run_until e 20.0;
+  Alcotest.(check int) "later event ran" 2 !fired;
+  Sim.Engine.cancel later;
+  let c = Sim.Engine.schedule e ~delay:5.0 (fun () -> incr fired) in
+  Sim.Engine.cancel c;
+  Sim.Engine.cancel c;
+  Alcotest.(check int) "double cancel counted once" 0 (Sim.Engine.pending e);
+  Sim.Engine.run_until e 30.0;
+  Alcotest.(check int) "cancelled event never ran" 2 !fired
+
+(* Many more cancels than live events: the heap is rebuilt without the
+   dead ones and the survivors still run, in (time, seq) order. *)
+let test_engine_mass_cancel_keeps_order () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let handles =
+    Array.init 1000 (fun i ->
+        Sim.Engine.schedule e
+          ~delay:(float_of_int (i mod 17))
+          (fun () -> fired := i :: !fired))
+  in
+  Array.iteri (fun i h -> if i mod 10 <> 0 then Sim.Engine.cancel h) handles;
+  Alcotest.(check int) "live events only" 100 (Sim.Engine.pending e);
+  Sim.Engine.run_until e 100.0;
+  let expected =
+    List.stable_sort
+      (fun a b -> compare (a mod 17) (b mod 17))
+      (List.init 100 (fun i -> i * 10))
+  in
+  Alcotest.(check (list int)) "survivors in (time, seq) order" expected (List.rev !fired);
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e)
+
+(* The engine as it was before cancelled events left the queue: a flag
+   per event, checked when the event is popped.  The reference for the
+   property below. *)
+module Flag_engine = struct
+  type t = {
+    mutable now : float;
+    mutable seq : int;
+    q : (bool ref * (unit -> unit)) Sim.Heap.t;
+  }
+
+  let create () = { now = 0.0; seq = 0; q = Sim.Heap.create () }
+
+  let schedule t ~delay fn =
+    let cancelled = ref false in
+    t.seq <- t.seq + 1;
+    Sim.Heap.push t.q ~key:(t.now +. delay) ~seq:t.seq (cancelled, fn);
+    cancelled
+
+  let cancel cancelled = cancelled := true
+
+  let run_until t limit =
+    while (not (Sim.Heap.is_empty t.q)) && Sim.Heap.min_key t.q <= limit do
+      let key = Sim.Heap.min_key t.q in
+      let cancelled, fn = Sim.Heap.pop_min t.q in
+      t.now <- Float.max t.now key;
+      if not !cancelled then fn ()
+    done;
+    t.now <- Float.max t.now limit
+end
+
+(* [Sched (d, nested)] schedules an event [d] ahead, which when it runs
+   schedules one more [d] ahead if [nested]; [Cancel i] cancels the
+   event created i before the latest (mod how many exist), fired or not
+   (mostly recent ones, so dead events pile up and force rebuilds);
+   [Run d] advances virtual time by [d]. *)
+type engine_op = Sched of int * bool | Cancel of int | Run of int
+
+let engine_ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Sched (d, n) -> Printf.sprintf "s%d%s" d (if n then "*" else "")
+             | Cancel i -> Printf.sprintf "c%d" i
+             | Run d -> Printf.sprintf "r%d" d)
+           ops))
+    QCheck.Gen.(
+      list_size (0 -- 800)
+        (frequency
+           [
+             ( 4,
+               map2 (fun d n -> Sched (d, n)) (0 -- 300) (map (fun k -> k = 0) (0 -- 3)) );
+             (3, map (fun i -> Cancel i) (0 -- 20));
+             (1, map (fun i -> Cancel i) (0 -- 10_000));
+             (1, map (fun d -> Run d) (0 -- 15));
+           ]))
+
+(* Apply [ops] to one engine, given as closures.  Events get ids in
+   creation order (a nested child is created when its parent runs), so
+   two engines that run events in the same order give them the same ids.
+   Returns the ids in firing order, the virtual time after each op, and
+   whether [pending] always equalled scheduled - fired - cancelled,
+   counting only cancels of events still queued. *)
+let drive (type h) ~(schedule : delay:float -> (unit -> unit) -> h) ~(cancel : h -> unit)
+    ~run_until ~now ~pending ops =
+  let handles = ref [||] and settled = ref [||] in
+  let created = ref 0 and fired = ref 0 and cancelled = ref 0 in
+  let log = ref [] in
+  let rec sched ~delay ~nested =
+    let id = !created in
+    incr created;
+    let h =
+      schedule ~delay (fun () ->
+          log := id :: !log;
+          incr fired;
+          !settled.(id) <- true;
+          if nested then sched ~delay ~nested:false)
+    in
+    if id >= Array.length !handles then begin
+      handles := Array.append !handles (Array.make (max 16 id) h);
+      settled := Array.append !settled (Array.make (max 16 id) false)
+    end;
+    !handles.(id) <- h
+  in
+  let consistent = ref true in
+  let times =
+    List.map
+      (fun op ->
+        (match op with
+        | Sched (d, nested) -> sched ~delay:(float_of_int d) ~nested
+        | Cancel i when !created > 0 ->
+          let id = !created - 1 - (i mod !created) in
+          if not !settled.(id) then begin
+            !settled.(id) <- true;
+            incr cancelled
+          end;
+          cancel !handles.(id)
+        | Cancel _ -> ()
+        | Run d -> run_until (now () +. float_of_int d));
+        (match pending () with
+        | Some p when p <> !created - !fired - !cancelled -> consistent := false
+        | _ -> ());
+        now ())
+      ops
+  in
+  run_until (now () +. 1_000.0);
+  (List.rev !log, times, !consistent)
+
+let prop_engine_matches_flag_engine =
+  QCheck.Test.make ~name:"live-only queue runs what a flag-only engine runs" ~count:300
+    engine_ops_arb (fun ops ->
+      let e = Sim.Engine.create () in
+      let log_e, times_e, consistent =
+        drive ~schedule:(Sim.Engine.schedule e) ~cancel:Sim.Engine.cancel
+          ~run_until:(Sim.Engine.run_until e)
+          ~now:(fun () -> Sim.Engine.now e)
+          ~pending:(fun () -> Some (Sim.Engine.pending e))
+          ops
+      in
+      let r = Flag_engine.create () in
+      let log_r, times_r, _ =
+        drive ~schedule:(Flag_engine.schedule r) ~cancel:Flag_engine.cancel
+          ~run_until:(Flag_engine.run_until r)
+          ~now:(fun () -> r.Flag_engine.now)
+          ~pending:(fun () -> None)
+          ops
+      in
+      consistent && log_e = log_r && times_e = times_r && Sim.Engine.pending e = 0)
+
 let make_net ?(latency = Sim.Latency.fixed ~same:100.0 ~cross:10_000.0) () =
   let e = Sim.Engine.create () in
   let topo = Sim.Topology.create () in
@@ -404,6 +580,11 @@ let suites =
         Alcotest.test_case "run_until horizon" `Quick test_engine_run_until_horizon;
         Alcotest.test_case "same-instant fifo with cancels" `Quick
           test_engine_same_instant_fifo_with_cancels;
+        Alcotest.test_case "cancel after fire is a no-op" `Quick
+          test_engine_cancel_after_fire_is_noop;
+        Alcotest.test_case "mass cancel keeps order" `Quick
+          test_engine_mass_cancel_keeps_order;
+        QCheck_alcotest.to_alcotest prop_engine_matches_flag_engine;
       ] );
     ( "sim.network",
       [

@@ -240,6 +240,44 @@ let test_key_dist_shapes () =
     (hot > 17_000 && hot < 19_500);
   Alcotest.(check bool) "cold tail still sampled" true (Array.exists (fun c -> c > 0) (Array.sub h 5 95))
 
+(* The event queue holds live work only: under open-loop writes and
+   linearizable reads, every request's timeout (and the read service's
+   deadline) is cancelled when it settles, so the queue stays within a
+   fixed multiple of the requests in flight, on top of the idle
+   cluster's own timers and the arrival tick.  Arming timeouts that are
+   never cancelled would instead grow it with the arrival rate times
+   the timeout. *)
+let test_event_queue_bounded_by_inflight () =
+  let cluster =
+    Helpers.bootstrapped ~seed:7 ~members:(Myraft.Cluster.small_members ()) ()
+  in
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  let engine = Myraft.Cluster.engine cluster in
+  let idle = Sim.Engine.pending engine in
+  let backend = Workload.Backend.myraft cluster in
+  let gen =
+    Workload.Generator.create ~backend ~client_id:"c1" ~region:"r1"
+      ~client_latency:(2.0 *. ms) ~read_ratio:0.5 ~read_level:Read.Level.Linearizable ()
+  in
+  Workload.Generator.start_open_loop gen ~rate_per_s:5_000.0;
+  let per_request = 5 in
+  for _ = 1 to 500 do
+    Myraft.Cluster.run_for cluster (10.0 *. ms);
+    let st = Workload.Generator.stats gen in
+    let open Workload.Generator in
+    let inflight =
+      st.issued - st.committed - st.rejected - st.timed_out
+      + (st.reads_issued - st.reads_ok - st.reads_rejected - st.reads_timed_out)
+    in
+    let pending = Sim.Engine.pending engine in
+    if pending > idle + 1 + (per_request * inflight) then
+      Alcotest.failf "%d events queued for %d requests in flight (idle cluster: %d)"
+        pending inflight idle
+  done;
+  let st = Workload.Generator.stats gen in
+  Alcotest.(check bool) "writes and reads served" true
+    (st.Workload.Generator.committed > 10_000 && st.Workload.Generator.reads_ok > 10_000)
+
 let suites =
   [
     ( "workload.shadow",
@@ -259,5 +297,7 @@ let suites =
         Alcotest.test_case "failure injection keeps consistency" `Quick
           test_failure_injection_preserves_consistency;
         Alcotest.test_case "key distribution shapes" `Quick test_key_dist_shapes;
+        Alcotest.test_case "event queue bounded by in-flight requests" `Quick
+          test_event_queue_bounded_by_inflight;
       ] );
   ]
